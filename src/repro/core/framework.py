@@ -839,7 +839,6 @@ class NeuroVectorizer:
         from collections import OrderedDict as _OrderedDict
 
         from repro.agents.policy_agent import PolicyAgent
-        from repro.analysis.loopinfo import analyze_loop
         from repro.embedding.pretrain import Code2VecPretrainer, loop_property_labels
         from repro.rl.env import MultiTaskEnv, build_samples
         from repro.rl.policy import make_policy
@@ -963,7 +962,9 @@ class NeuroVectorizer:
                     )
                     labels.append(
                         loop_property_labels(
-                            analyze_loop(ir_function, ir_loops[loop.loop_index])
+                            pipeline.loop_analysis(
+                                kernel, ir_function, ir_loops[loop.loop_index]
+                            )
                         )
                     )
             pretrainer = Code2VecPretrainer(embedding_model, seed=config.seed)

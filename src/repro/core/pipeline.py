@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.loopinfo import LoopAnalysis
 from repro.datasets.kernels import LoopKernel
 from repro.frontend.cache import frontend_cache
 from repro.ir.lowering import LoweringContext, lower_function
-from repro.ir.nodes import IRFunction
+from repro.ir.nodes import IRFunction, Loop
 from repro.machine.description import MachineDescription
 from repro.simulator.compile_time import estimate_compile_time
 from repro.simulator.cost import memo_stats as cost_memo_stats
@@ -55,6 +56,16 @@ class CompileAndMeasure:
       supervised agents),
     * :meth:`measure_baseline` — let the built-in cost model decide, i.e.
       plain ``clang -O3``.
+
+    The pipeline owns the loop analyses of the IR it measures: each
+    lowered innermost loop is analysed once (:meth:`loop_analysis`, backed
+    by the kernel's :meth:`Simulator.loop_analysis` memo), and that one
+    object feeds the baseline cost model, the planner and the simulator.
+    Because every (VF, IF) query of a loop then reaches the same analysis,
+    the per-analysis cost memo of :mod:`repro.simulator.cost` answers
+    repeats and sweeps the rest of a brute-force grid in one pass.
+    Identity keys are sound because pipeline IR is never mutated after
+    lowering; transforms (Polly) work on clones.
     """
 
     def __init__(
@@ -110,12 +121,24 @@ class CompileAndMeasure:
             self._simulator_cache[key] = simulator
         return simulator
 
+    def loop_analysis(
+        self, kernel: LoopKernel, ir_function: IRFunction, loop: Loop
+    ) -> LoopAnalysis:
+        """The shared analysis of one innermost loop of pipeline-owned IR.
+
+        ``ir_function`` must come from :meth:`lower_kernel` (or be a
+        transformed copy that is no longer mutated); the result is the
+        object every measurement of that loop uses.
+        """
+        return self._simulator(kernel).loop_analysis(ir_function, loop)
+
     def simulator_memo_stats(self) -> Dict[str, float]:
         """Aggregate memo counters over every cached per-kernel simulator.
 
-        Sums the whole-function LRU's hit/miss/eviction counts and the
-        entry counts of the per-function stores (analyses, statement
-        prices, region playbooks) so cache-pressure regressions show up in
+        Sums the whole-function LRU's hit/miss/eviction counts, the
+        loop-analysis LRU's entries and evictions, and the entry counts of
+        the per-function stores (statement prices, region playbooks) so
+        cache-pressure regressions show up in
         :meth:`repro.core.framework.NeuroVectorizer.cache_stats_report`.
         The iteration-cost memo counters (process-wide, from
         :func:`repro.simulator.cost.memo_stats`) ride along under
@@ -129,6 +152,7 @@ class CompileAndMeasure:
             "evictions": 0,
             "entries": 0,
             "analysis_entries": 0,
+            "analysis_evictions": 0,
             "statement_entries": 0,
             "playbook_entries": 0,
         }
@@ -141,6 +165,7 @@ class CompileAndMeasure:
                 "evictions",
                 "entries",
                 "analysis_entries",
+                "analysis_evictions",
                 "statement_entries",
                 "playbook_entries",
             ):
@@ -154,6 +179,26 @@ class CompileAndMeasure:
         totals["cost_sweeps"] = cost_stats["sweeps"]
         totals["cost_swept_configs"] = cost_stats["swept_configs"]
         return totals
+
+    def _plan_with_factors(
+        self,
+        kernel: LoopKernel,
+        ir_function: IRFunction,
+        factors_by_index: Optional[Dict[int, Tuple[int, int]]],
+    ) -> FunctionVectorPlan:
+        """Plan explicit (VF, IF) requests keyed by innermost-loop index;
+        loops without one get the baseline cost model's choice."""
+        analyze = self._simulator(kernel).loop_analysis
+        decisions: Dict[int, Tuple[int, int]] = {}
+        for index, loop in enumerate(ir_function.innermost_loops()):
+            if factors_by_index is not None and index in factors_by_index:
+                decisions[loop.loop_id] = factors_by_index[index]
+            else:
+                decision = self.baseline_model.decide_loop(
+                    ir_function, loop, analyze(ir_function, loop)
+                )
+                decisions[loop.loop_id] = (decision.vf, decision.interleave)
+        return build_plan(ir_function, decisions, self.machine, analyze)
 
     def _result(
         self, kernel: LoopKernel, ir_function: IRFunction, plan: FunctionVectorPlan
@@ -189,8 +234,8 @@ class CompileAndMeasure:
         stays with the cost model unless ``vectorize_width`` says otherwise).
         """
         ir_function = self.lower_kernel(kernel, source)
-        baseline_decisions = self.baseline_model.decide_function(ir_function)
-        decisions = dict(baseline_decisions)
+        analyze = self._simulator(kernel).loop_analysis
+        decisions = self.baseline_model.decide_function(ir_function, analyze)
         for loop in ir_function.innermost_loops():
             pragma = loop.pragma
             if pragma is None or pragma.is_empty:
@@ -199,7 +244,7 @@ class CompileAndMeasure:
             decisions[loop.loop_id] = factors_from_pragma(
                 pragma, default_vf, default_if
             )
-        plan = build_plan(ir_function, decisions, self.machine)
+        plan = build_plan(ir_function, decisions, self.machine, analyze)
         return self._result(kernel, ir_function, plan)
 
     def measure_with_factors(
@@ -207,14 +252,7 @@ class CompileAndMeasure:
     ) -> CompilationResult:
         """Compile with explicit (VF, IF) requests keyed by innermost-loop index."""
         ir_function = self.lower_kernel(kernel)
-        decisions: Dict[int, Tuple[int, int]] = {}
-        for index, loop in enumerate(ir_function.innermost_loops()):
-            if index in factors_by_index:
-                decisions[loop.loop_id] = factors_by_index[index]
-            else:
-                decision = self.baseline_model.decide_loop(ir_function, loop)
-                decisions[loop.loop_id] = (decision.vf, decision.interleave)
-        plan = build_plan(ir_function, decisions, self.machine)
+        plan = self._plan_with_factors(kernel, ir_function, factors_by_index)
         return self._result(kernel, ir_function, plan)
 
     def measure_function(
@@ -228,27 +266,25 @@ class CompileAndMeasure:
         This is the path the Polly experiments use: the polyhedral pass
         rewrites the loop structure, then either the baseline cost model
         (``factors_by_index is None``) or explicit per-loop factors decide
-        the vectorization of the transformed code.
+        the vectorization of the transformed code.  ``ir_function`` must not
+        be mutated afterwards: its loop analyses are memoised by identity.
         """
-        decisions: Dict[int, Tuple[int, int]] = {}
-        for index, loop in enumerate(ir_function.innermost_loops()):
-            if factors_by_index is not None and index in factors_by_index:
-                decisions[loop.loop_id] = factors_by_index[index]
-            else:
-                decision = self.baseline_model.decide_loop(ir_function, loop)
-                decisions[loop.loop_id] = (decision.vf, decision.interleave)
-        plan = build_plan(ir_function, decisions, self.machine)
+        plan = self._plan_with_factors(kernel, ir_function, factors_by_index)
         return self._result(kernel, ir_function, plan)
 
     def measure_baseline(self, kernel: LoopKernel) -> CompilationResult:
         """Compile with the built-in cost model only (the paper's baseline)."""
         ir_function = self.lower_kernel(kernel)
-        plan = self.baseline_model.plan_function(ir_function)
+        plan = self.baseline_model.plan_function(
+            ir_function, self._simulator(kernel).loop_analysis
+        )
         return self._result(kernel, ir_function, plan)
 
     def measure_scalar(self, kernel: LoopKernel) -> CompilationResult:
         """Compile with vectorization disabled everywhere (VF = IF = 1)."""
         ir_function = self.lower_kernel(kernel)
         decisions = {loop.loop_id: (1, 1) for loop in ir_function.innermost_loops()}
-        plan = build_plan(ir_function, decisions, self.machine)
+        plan = build_plan(
+            ir_function, decisions, self.machine, self._simulator(kernel).loop_analysis
+        )
         return self._result(kernel, ir_function, plan)

@@ -597,7 +597,6 @@ def _pretrain_embedding(
     seed: int,
 ) -> None:
     """Self-supervised pretraining on loop-property labels (see DESIGN.md)."""
-    from repro.analysis.loopinfo import analyze_loop
     from repro.embedding.pretrain import Code2VecPretrainer, loop_property_labels
 
     bags, labels = [], []
@@ -614,7 +613,9 @@ def _pretrain_embedding(
             rename_map = normalize_identifiers(loop.nest_root)
             bags.append(extract_path_contexts(loop.nest_root, rename_map=rename_map))
             labels.append(
-                loop_property_labels(analyze_loop(ir_function, ir_loops[loop.loop_index]))
+                loop_property_labels(
+                    pipeline.loop_analysis(kernel, ir_function, ir_loops[loop.loop_index])
+                )
             )
     if bags:
         Code2VecPretrainer(embedding_model, seed=seed).train(bags, labels, epochs=epochs)

@@ -66,12 +66,12 @@ def figure1_dot_product_grid(
     kernel = dot_product_kernel()
     pipeline = CompileAndMeasure(machine=machine)
     ir_function = pipeline.lower_kernel(kernel)
+    loop = ir_function.innermost_loops()[0]
     baseline_decision = pipeline.baseline_model.decide_loop(
-        ir_function, ir_function.innermost_loops()[0]
+        ir_function, loop, pipeline.loop_analysis(kernel, ir_function, loop)
     )
     simulator = Simulator(machine=machine, bindings=kernel.bindings)
     result = brute_force_search(ir_function, machine=machine, simulator=simulator)
-    loop = ir_function.innermost_loops()[0]
     grid = result.grid_speedups(loop)
     best_factors = result.best_factors[loop.loop_id]
     better = sum(1 for value in grid.values() if value >= 1.0)

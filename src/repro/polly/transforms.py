@@ -148,12 +148,7 @@ def tile_loop_nest(
             trip = loop.trip_count if loop.trip_count is not None else 0
             working_set = 0.0
             if trip > 0:
-                try:
-                    working_set = estimate_working_set(
-                        analyze_loop(function, loop), trip
-                    )
-                except Exception:
-                    working_set = float("inf")
+                working_set = estimate_working_set(analyze_loop(function, loop), trip)
             if (
                 trip >= min_trip_count
                 and trip > tile_size

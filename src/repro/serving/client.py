@@ -70,6 +70,8 @@ class TCPClient:
 
     def __init__(self, host: str, port: int, timeout: Optional[float] = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # Requests go out as written, not held back for the previous ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
         self._ids = itertools.count()

@@ -118,6 +118,10 @@ class CompileServer:
             except OSError:
                 return
             connection.settimeout(None)
+            # Send each response as soon as it is written: with Nagle's
+            # algorithm a response on a pipelined connection waits for the
+            # client's delayed ACK of the previous one.
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # Per-connection FIFO of futures/ready responses written back in
             # submission order; ``None`` is the writer's exit sentinel.
             outbox: "_queue.Queue" = _queue.Queue()

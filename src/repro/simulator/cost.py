@@ -2,18 +2,24 @@
 
 The per-iteration model is queried for the same loop at every candidate
 (VF, IF) pair by the brute-force oracle, the planner and grid sweeps —
-a 7x5 grid per loop, revisited across a run.  The *second* vector
-configuration to miss for the same (machine, working set, if-conversion)
-group therefore triggers a *one-pass sweep*: every still uncached grid
-point is priced in a single vectorised evaluation (numpy arrays over the
-config axis, each arithmetic step in the exact order of the scalar
-model, so every row is bit-identical to a scalar call) and parked in the
-per-analysis memo.  Subsequent queries — the rest of a brute-force grid,
-the planner's comparisons — are pure lookups.  Arming on the second
-miss rather than the first matters: the RL rollout path rewrites the
-kernel source per action, so each analysis there is queried for exactly
-one vector configuration and a first-miss sweep would price a whole
-grid nobody reads back.  (:func:`sweep_iteration_costs`, the explicit
+a 7x5 grid per loop, revisited across a run.  Derived costs are memoised
+on the :class:`LoopAnalysis` object, so repeats reach the memo only when
+the callers share one analysis per loop: ``CompileAndMeasure`` hands the
+same analysis (its kernel simulator's ``loop_analysis``) to the baseline
+cost model, the planner and the simulator for every measurement of a
+loop.  The *second* vector configuration to miss for the same
+(machine, working set, if-conversion) group therefore triggers a
+*one-pass sweep*: every still uncached grid point is priced in a single
+vectorised evaluation (numpy arrays over the config axis, each
+arithmetic step in the exact order of the scalar model, so every row is
+bit-identical to a scalar call) and parked in the per-analysis memo.
+Subsequent queries — the rest of a brute-force grid, the RL rollout's
+per-site actions, the planner's comparisons — are pure lookups.  Arming
+on the second miss rather than the first matters: the pragma path
+(``measure_with_pragmas``) lowers a new IR function per annotated
+source, so each analysis there is queried for exactly one vector
+configuration and a first-miss sweep would price a whole grid nobody
+reads back.  (:func:`sweep_iteration_costs`, the explicit
 grid API, batches up front regardless.)
 
 ``SWEEP_ENABLED`` gates the batch path; with it off every configuration
@@ -191,7 +197,7 @@ def estimate_iteration_cycles(
     to miss for the same (machine, working set, if-conversion) group
     prices the machine's whole candidate grid in one vectorised pass
     (see the module docstring), so the rest of a grid sweep never
-    reaches the model at all; a one-shot query (the RL rollout path)
+    reaches the model at all; a one-shot query (the pragma path)
     stays on the scalar model.  Callers get a fresh
     :class:`IterationCost` each time (the memoized one stays pristine).
     """

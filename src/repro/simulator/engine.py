@@ -42,11 +42,13 @@ _MIX_OP_CLASSES: Tuple[Tuple[str, OpClass], ...] = (
 
 @dataclass
 class SimulatorMemoStats:
-    """Hit/miss/eviction counters for the whole-function simulation memo."""
+    """Hit/miss/eviction counters for the whole-function simulation memo,
+    plus evictions from the loop-analysis LRU."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    analysis_evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -83,7 +85,8 @@ class Simulator:
     ``default_symbol_value``.
     """
 
-    #: Entry cap for the per-simulator memo of whole-function simulations.
+    #: Entry cap for the per-simulator LRU memos (whole-function
+    #: simulations and loop analyses).
     MAX_MEMO_ENTRIES = 4096
 
     def __init__(
@@ -95,7 +98,10 @@ class Simulator:
         self.machine = machine or MachineDescription()
         self.bindings = dict(bindings or {})
         self.default_symbol_value = default_symbol_value
-        self._analysis_cache: Dict[Tuple[int, int], LoopAnalysis] = {}
+        # Loop analyses keyed by (function, loop id), LRU-evicted at
+        # MAX_MEMO_ENTRIES.  Each analysis pins its function and loop, so
+        # the id()-based keys cannot be recycled while cached.
+        self._analysis_cache: "OrderedDict[Tuple[int, int], LoopAnalysis]" = OrderedDict()
         # Memoised whole-function simulations keyed by (function, plan
         # factors, bindings), LRU-evicted at MAX_MEMO_ENTRIES.  The
         # FunctionCost values hold the function alive, so the id()-based
@@ -148,8 +154,9 @@ class Simulator:
         return cost
 
     def memo_stats(self) -> Dict[str, float]:
-        """Counters for this simulator's memos (the whole-function LRU plus
-        entry counts of the per-function analysis/statement/playbook stores)."""
+        """Counters for this simulator's memos (the whole-function and
+        loop-analysis LRUs plus entry counts of the per-function
+        statement/playbook stores)."""
         return {
             "hits": self.memo.hits,
             "misses": self.memo.misses,
@@ -157,17 +164,33 @@ class Simulator:
             "hit_rate": self.memo.hit_rate,
             "entries": len(self._simulate_cache),
             "analysis_entries": len(self._analysis_cache),
+            "analysis_evictions": self.memo.analysis_evictions,
             "statement_entries": len(self._statement_cache),
             "playbook_entries": len(self._playbook_cache),
         }
 
     def loop_analysis(self, function: IRFunction, loop: Loop) -> LoopAnalysis:
+        """The analysis of one innermost loop, computed once per loop.
+
+        :class:`repro.core.pipeline.CompileAndMeasure` hands this one
+        object to the baseline cost model, the planner and the simulator,
+        so the per-analysis cost memo of :mod:`repro.simulator.cost` sees
+        every (VF, IF) query of a loop and its grid sweep can fire.  Keys
+        are identities, which is sound only for IR that is not mutated
+        after the first query (pipeline IR never is: transforms clone).
+        """
         key = (id(function), loop.loop_id)
-        cached = self._analysis_cache.get(key)
-        if cached is not None and cached.function is function:
+        cache = self._analysis_cache
+        cached = cache.get(key)
+        if cached is not None and cached.function is function and cached.loop is loop:
+            cache.move_to_end(key)
             return cached
         analysis = analyze_loop(function, loop)
-        self._analysis_cache[key] = analysis
+        cache[key] = analysis
+        cache.move_to_end(key)
+        while len(cache) > self.MAX_MEMO_ENTRIES:
+            cache.popitem(last=False)
+            self.memo.analysis_evictions += 1
         return analysis
 
     # -- region walking ---------------------------------------------------------------
@@ -244,7 +267,6 @@ class Simulator:
     ) -> float:
         trip = self._runtime_trip_count(loop, bindings)
         if loop.is_innermost:
-            analysis = self.loop_analysis(function, loop)
             loop_plan = plan.plan_for(loop) if plan is not None else None
             if loop_plan is not None:
                 loop_cost = estimate_loop_cost(
@@ -256,7 +278,9 @@ class Simulator:
                     legality=loop_plan.legality,
                 )
             else:
-                loop_cost = estimate_loop_cost(analysis, self.machine, 1, 1, trip)
+                loop_cost = estimate_loop_cost(
+                    self.loop_analysis(function, loop), self.machine, 1, 1, trip
+                )
             cost.loop_costs[loop.loop_id] = loop_cost
             return loop_cost.total_cycles + 2.0
         body_cycles = self._region_cycles(loop.body, function, plan, bindings, cost)

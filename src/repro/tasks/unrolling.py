@@ -66,7 +66,10 @@ class UnrollingTask(OptimizationTask):
         loops = ir_function.innermost_loops()
         if site_index >= len(loops):
             return self.default_action()
-        decision = pipeline.baseline_model.decide_loop(ir_function, loops[site_index])
+        loop = loops[site_index]
+        decision = pipeline.baseline_model.decide_loop(
+            ir_function, loop, pipeline.loop_analysis(kernel, ir_function, loop)
+        )
         return snap_to_menus(self.menus, (decision.interleave,))
 
     # -- decision sites -----------------------------------------------------
@@ -95,8 +98,9 @@ class UnrollingTask(OptimizationTask):
         for site_index, action in decisions.items():
             if not 0 <= site_index < len(loops):
                 continue
+            loop = loops[site_index]
             decision = pipeline.baseline_model.decide_loop(
-                ir_function, loops[site_index]
+                ir_function, loop, pipeline.loop_analysis(kernel, ir_function, loop)
             )
             factors[site_index] = (decision.vf, int(action[0]))
         return factors

@@ -66,9 +66,12 @@ def brute_force_search(
     vfs = tuple(vf_candidates) if vf_candidates is not None else machine.vf_candidates()
     ifs = tuple(if_candidates) if if_candidates is not None else machine.if_candidates()
 
+    # One analysis per loop for the whole search, shared with the
+    # simulator, so its cost memo sweeps each loop's grid in one pass.
+    analyze = simulator.loop_analysis
     baseline = BaselineCostModel(machine=machine)
-    baseline_decisions = baseline.decide_function(function)
-    baseline_plan = build_plan(function, baseline_decisions, machine)
+    baseline_decisions = baseline.decide_function(function, analyze)
+    baseline_plan = build_plan(function, baseline_decisions, machine, analyze)
     baseline_cycles = simulator.simulate(function, baseline_plan).total_cycles
 
     result = BruteForceResult(function=function, baseline_cycles=baseline_cycles)
@@ -82,7 +85,7 @@ def brute_force_search(
             for interleave in ifs:
                 trial = dict(best_decisions)
                 trial[loop.loop_id] = (vf, interleave)
-                plan = build_plan(function, trial, machine)
+                plan = build_plan(function, trial, machine, analyze)
                 cycles = simulator.simulate(function, plan).total_cycles
                 grid[(vf, interleave)] = cycles
                 result.evaluations += 1
@@ -93,6 +96,6 @@ def brute_force_search(
         result.best_factors[loop.loop_id] = best_pair
         result.grids[loop.loop_id] = grid
 
-    final_plan = build_plan(function, best_decisions, machine)
+    final_plan = build_plan(function, best_decisions, machine, analyze)
     result.best_cycles = simulator.simulate(function, final_plan).total_cycles
     return result

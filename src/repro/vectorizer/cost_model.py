@@ -25,7 +25,7 @@ from repro.analysis.loopinfo import LoopAnalysis, analyze_loop
 from repro.ir.nodes import IRFunction, Loop
 from repro.machine.description import MachineDescription
 from repro.vectorizer.legality import VectorizationLegality, check_legality
-from repro.vectorizer.planner import FunctionVectorPlan, build_plan
+from repro.vectorizer.planner import FunctionVectorPlan, LoopAnalyzer, build_plan
 
 
 @dataclass
@@ -150,14 +150,25 @@ class BaselineCostModel:
             cost_per_lane=scores,
         )
 
-    def decide_function(self, function: IRFunction) -> Dict[int, Tuple[int, int]]:
-        """Baseline (VF, IF) for every innermost loop, keyed by loop id."""
+    def decide_function(
+        self, function: IRFunction, analyze: Optional[LoopAnalyzer] = None
+    ) -> Dict[int, Tuple[int, int]]:
+        """Baseline (VF, IF) for every innermost loop, keyed by loop id.
+
+        ``analyze`` supplies each loop's analysis (see
+        :func:`repro.vectorizer.planner.build_plan`).
+        """
+        analyze = analyze or analyze_loop
         decisions: Dict[int, Tuple[int, int]] = {}
         for loop in function.innermost_loops():
-            decision = self.decide_loop(function, loop)
+            decision = self.decide_loop(function, loop, analyze(function, loop))
             decisions[loop.loop_id] = (decision.vf, decision.interleave)
         return decisions
 
-    def plan_function(self, function: IRFunction) -> FunctionVectorPlan:
+    def plan_function(
+        self, function: IRFunction, analyze: Optional[LoopAnalyzer] = None
+    ) -> FunctionVectorPlan:
         """A ready-to-simulate plan using the baseline's decisions."""
-        return build_plan(function, self.decide_function(function), self.machine)
+        return build_plan(
+            function, self.decide_function(function, analyze), self.machine, analyze
+        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis.loopinfo import LoopAnalysis, analyze_loop
 from repro.machine.description import MachineDescription
@@ -70,6 +70,13 @@ class FunctionVectorPlan:
         return "\n".join(lines)
 
 
+#: Signature of a loop-analysis provider: ``(function, loop) -> analysis``.
+#: ``CompileAndMeasure`` passes its kernel simulator's memoising
+#: :meth:`repro.simulator.engine.Simulator.loop_analysis`, so every
+#: consumer shares one analysis object per loop.
+LoopAnalyzer = Callable[[IRFunction, Loop], LoopAnalysis]
+
+
 def _clamp_power_of_two(value: int, maximum: int) -> int:
     result = 1
     while result * 2 <= min(value, maximum):
@@ -110,18 +117,23 @@ def build_plan(
     function: IRFunction,
     decisions: Dict[int, Tuple[int, int]],
     machine: Optional[MachineDescription] = None,
+    analyze: Optional[LoopAnalyzer] = None,
 ) -> FunctionVectorPlan:
     """Build a function-level plan from explicit per-loop (VF, IF) decisions.
 
     ``decisions`` maps ``loop_id`` to requested factors.  Innermost loops
-    without an entry default to (1, 1), i.e. scalar.
+    without an entry default to (1, 1), i.e. scalar.  ``analyze`` supplies
+    each loop's analysis (a memoising provider lets repeated plans of the
+    same function share them); without it every loop is analysed afresh.
     """
     machine = machine or MachineDescription()
+    analyze = analyze or analyze_loop
     plan = FunctionVectorPlan(function=function, machine=machine)
     for loop in function.innermost_loops():
         requested_vf, requested_if = decisions.get(loop.loop_id, (1, 1))
         plan.plans[loop.loop_id] = make_loop_plan(
-            function, loop, requested_vf, requested_if, machine
+            function, loop, requested_vf, requested_if, machine,
+            analysis=analyze(function, loop),
         )
     return plan
 

@@ -297,6 +297,32 @@ class TestSimulatorMemo:
         assert cost.total_cycles > 0
         assert simulator.memo_stats()["misses"] == 5
 
+    def test_analysis_memo_is_bounded_lru(self):
+        from repro.vectorizer.planner import build_plan
+
+        functions = self._functions(5)
+        simulator = Simulator()
+        simulator.MAX_MEMO_ENTRIES = 2
+
+        def cycles(function, simulator, analyze=None):
+            decisions = {loop.loop_id: (4, 2) for loop in function.innermost_loops()}
+            plan = build_plan(function, decisions, analyze=analyze)
+            return simulator.simulate(function, plan).total_cycles
+
+        fresh = [cycles(function, Simulator()) for function in functions]
+        first = [cycles(f, simulator, simulator.loop_analysis) for f in functions]
+        stats = simulator.memo_stats()
+        assert stats["analysis_entries"] == 2
+        assert stats["analysis_evictions"] == 3
+        # The oldest analysis was evicted: asking again re-analyses and
+        # still prices the loop exactly as before.
+        loop = functions[0].innermost_loops()[0]
+        assert simulator.loop_analysis(functions[0], loop).function is functions[0]
+        assert simulator.memo_stats()["analysis_evictions"] == 4
+        again = [cycles(f, simulator, simulator.loop_analysis) for f in functions]
+        assert first == fresh == again
+        assert simulator.memo_stats()["analysis_entries"] <= 2
+
     def test_memoized_cost_identical_to_fresh_simulator(self):
         function = self._functions(1)[0]
         warm = Simulator()

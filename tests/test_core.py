@@ -1,5 +1,7 @@
 """Core framework tests: loop extraction, pragma injection, pipeline, facade."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
 from repro.frontend.pragmas import parse_pragma_text
+from repro.simulator import cost as cost_memo
+from repro.simulator.engine import Simulator
+from repro.tasks import get_task
+from repro.vectorizer.cost_model import BaselineCostModel
+from repro.vectorizer.planner import build_plan
 
 
 NESTED_SOURCE = """
@@ -170,6 +177,89 @@ class TestCompileAndMeasure:
         big = LoopKernel(name="sym2", source=kernel.source, function_name="f",
                          bindings={"n": 8192})
         assert pipeline.measure_baseline(big).cycles > pipeline.measure_baseline(kernel).cycles
+
+
+def _count_analyses(monkeypatch):
+    """Count ``analyze_loop`` calls by patching every ``repro`` module that
+    imported the name (and the defining module itself)."""
+    from repro.analysis import loopinfo
+
+    original = loopinfo.analyze_loop
+    calls = []
+
+    def counting(function, loop):
+        calls.append(loop.loop_id)
+        return original(function, loop)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "analyze_loop", None) is original:
+            monkeypatch.setattr(module, "analyze_loop", counting)
+    return calls
+
+
+def _fresh_cycles(pipeline, kernel, result):
+    """Re-measure a result's plan with a new simulator and fresh analyses."""
+    function = result.plan.function
+    decisions = {
+        loop_id: (plan.requested_vf, plan.requested_interleave)
+        for loop_id, plan in result.plan.plans.items()
+    }
+    simulator = Simulator(
+        machine=pipeline.machine,
+        bindings=dict(kernel.bindings),
+        default_symbol_value=pipeline.default_symbol_value,
+    )
+    return simulator.simulate(
+        function, build_plan(function, decisions, pipeline.machine)
+    ).total_cycles
+
+
+class TestSharedLoopAnalyses:
+    """The pipeline analyses each lowered loop once and shares it with the
+    baseline, planner and simulator, without changing a single cycle."""
+
+    def test_brute_force_analyses_each_loop_once(self, monkeypatch):
+        calls = _count_analyses(monkeypatch)
+        kernel = LoopKernel(name="two", source=TWO_LOOP_SOURCE, function_name="two")
+        agent = BruteForceAgent(CompileAndMeasure())
+        for loop_index in (0, 1):
+            agent.select_factors(np.zeros(1), kernel=kernel, loop_index=loop_index)
+        assert len(calls) == 2
+        assert len(set(calls)) == 2
+
+    def test_vectorization_grid_fires_a_sweep(self):
+        cost_memo.reset_memo_stats()
+        agent = BruteForceAgent(CompileAndMeasure())
+        agent.select_factors(np.zeros(1), kernel=dot_product_kernel(), loop_index=0)
+        assert cost_memo.memo_stats()["sweeps"] >= 1
+
+    @pytest.mark.parametrize("task_name", ["vectorization", "unrolling", "polly-tiling"])
+    def test_every_entry_point_matches_a_fresh_path(self, task_name):
+        task = get_task(task_name)
+        pipeline = CompileAndMeasure()
+        kernels = [
+            dot_product_kernel(),
+            LoopKernel(name="two", source=TWO_LOOP_SOURCE, function_name="two"),
+            LoopKernel(name="mm", source=NESTED_SOURCE, function_name="matmul"),
+        ]
+        actions = task.action_space("discrete").all_actions()
+        for kernel in kernels:
+            results = [pipeline.measure_baseline(kernel), pipeline.measure_scalar(kernel)]
+            sites = range(len(task.decision_sites(kernel)))
+            for site in sites:
+                results.extend(task.evaluate(pipeline, kernel, site, a) for a in actions)
+            # ``apply`` measures through the pragma path (or, for Polly,
+            # measure_function on the transformed copy).
+            decisions = {site: actions[-1] for site in sites}
+            results.append(task.apply(pipeline, kernel, decisions).result)
+            ir_function = pipeline.lower_kernel(kernel)
+            results.append(pipeline.measure_function(kernel, ir_function))
+            for result in results:
+                assert result.cycles == _fresh_cycles(pipeline, kernel, result)
+            fresh_baseline = BaselineCostModel(machine=pipeline.machine)
+            assert results[0].plan.factors() == build_plan(
+                ir_function, fresh_baseline.decide_function(ir_function), pipeline.machine
+            ).factors()
 
 
 class TestNeuroVectorizerFacade:

@@ -142,6 +142,24 @@ class TestTransforms:
         # Inner 64-float rows (256 bytes) stay untouched.
         assert len(tiled.all_loops()) == len(root.all_loops())
 
+    def test_tile_loop_nest_tiles_large_working_sets(self):
+        ir = _ir(GEMM)
+        root = ir.top_level_loops()[0]
+        tiled = tile_loop_nest(ir, root, tile_size=32)
+        # The k loop walks a 256 KB column of B: strip-mined.
+        assert len(tiled.all_loops()) == len(root.all_loops()) + 1
+
+    def test_tile_loop_nest_surfaces_analysis_errors(self, monkeypatch):
+        import repro.analysis.loopinfo as loopinfo
+
+        def broken(function, loop):
+            raise RuntimeError("analysis failed")
+
+        monkeypatch.setattr(loopinfo, "analyze_loop", broken)
+        ir = _ir(GEMM)
+        with pytest.raises(RuntimeError, match="analysis failed"):
+            tile_loop_nest(ir, ir.top_level_loops()[0], tile_size=32)
+
     def test_clone_function_is_independent(self):
         ir = _ir(GEMM)
         copy = clone_function(ir)

@@ -16,6 +16,8 @@ The serving guarantees pinned here:
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.core.framework import NeuroVectorizer, TrainingConfig
@@ -298,6 +300,24 @@ class TestClientsAndStats:
             "vectorization", "unrolling",
         ]
         assert all(response.ok for response in responses)
+
+    def test_tcp_connections_disable_nagle(self, trained):
+        """Both ends of a live connection set TCP_NODELAY, so a pipelined
+        response is not held back until the client ACKs the previous one."""
+        service = fresh_service(trained, max_batch_size=4)
+        with CompileServer(service) as server:
+            with TCPClient.connect(server.address) as client:
+                # A full round trip guarantees the server accepted us.
+                assert client.optimize(CompileRequest(source=STREAM_SOURCE)).ok
+                with server._lock:
+                    accepted = list(server._connections)
+                assert len(accepted) == 1
+                assert accepted[0].getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                assert client._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
 
     def test_stats_report_renders_tier_table(self, trained):
         service = fresh_service(trained, slo_ms=10_000.0)
