@@ -195,7 +195,7 @@ def build_embedding_model(
     bags: List[List[PathContext]] = []
     for kernel in kernels:
         try:
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
+            loops = kernel.loops()
         except Exception:
             continue
         for loop in loops:
@@ -489,7 +489,7 @@ class NeuroVectorizer:
         # framework the raw PolicyAgent has no task and a multi-bank
         # policy would refuse to act without one.
         agent = self._agent_for_task(self.task)
-        loops = extract_loops(kernel.source, function_name=kernel.function_name)
+        loops = kernel.loops()
         decisions: List[VectorizationDecision] = []
         for loop in loops:
             observation = self.observe_loop(loop)
@@ -785,7 +785,7 @@ class NeuroVectorizer:
     ) -> VectorizationResult:
         """Vectorize raw C source text (the quickstart entry point)."""
         if function_name is None:
-            loops = extract_loops(source)
+            loops = extract_loops(source, filename=LoopKernel.filename_for(name))
             if not loops:
                 raise ValueError("no loops found in the given source")
             function_name = loops[0].function_name
@@ -946,9 +946,7 @@ class NeuroVectorizer:
             labels = []
             for kernel in training_kernels[: config.pretrain_samples]:
                 try:
-                    loops = extract_loops(
-                        kernel.source, function_name=kernel.function_name
-                    )
+                    loops = kernel.loops()
                     ir_function = pipeline.lower_kernel(kernel)
                     ir_loops = ir_function.innermost_loops()
                 except Exception:

@@ -93,7 +93,7 @@ class CompileAndMeasure:
             return cached
         # Parse through the process-wide content-hash memo: repeated kernels
         # skip preprocess/tokenize/parse across pipelines and agents.
-        unit = frontend_cache().parse(text, filename=f"{kernel.name}.c")
+        unit = frontend_cache().parse(text, filename=kernel.filename)
         function = unit.find_function(kernel.function_name)
         if function is None:
             raise ValueError(

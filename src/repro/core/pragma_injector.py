@@ -56,6 +56,7 @@ def inject_loop_pragmas(
     source: str,
     pragmas: Dict[int, LoopPragma],
     function_name: Optional[str] = None,
+    filename: str = "<source>",
 ) -> str:
     """Inject one arbitrary :class:`LoopPragma` per innermost loop.
 
@@ -64,9 +65,12 @@ def inject_loop_pragmas(
     place before that loop — vectorization hints, unroll counts, or any mix.
     Loops without an entry are left untouched (the compiler's own cost model
     will handle them).  Existing clang loop pragmas are stripped first.
+    ``filename`` names the parse of the cleaned source in the frontend
+    memo; pass the kernel's :attr:`~repro.datasets.kernels.LoopKernel.filename`
+    so a source without pragmas reuses the kernel's own parse.
     """
     cleaned = strip_loop_pragmas(source)
-    loops = extract_loops(cleaned, function_name=function_name)
+    loops = extract_loops(cleaned, function_name=function_name, filename=filename)
     # Insert from the bottom of the file upwards so earlier line numbers stay
     # valid while we mutate the text.
     insertions: List[Tuple[int, LoopPragma]] = [
@@ -85,6 +89,7 @@ def inject_pragmas(
     source: str,
     decisions: Dict[int, Tuple[int, int]],
     function_name: Optional[str] = None,
+    filename: str = "<source>",
 ) -> str:
     """Inject one (VF, IF) pragma per innermost loop according to
     ``decisions`` (the vectorization-task shorthand for
@@ -98,4 +103,5 @@ def inject_pragmas(
             for loop_index, (vectorize_width, interleave_count) in decisions.items()
         },
         function_name=function_name,
+        filename=filename,
     )

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.frontend import ast, parse_source
 from repro.ir.lowering import LoweringContext, lower_function
 from repro.ir.nodes import IRFunction
+
+if TYPE_CHECKING:
+    from repro.core.loop_extractor import ExtractedLoop
 
 
 @dataclass
@@ -33,16 +36,35 @@ class LoopKernel:
 
     # -- lazy compilation helpers -----------------------------------------------
 
+    @staticmethod
+    def filename_for(name: str) -> str:
+        """The filename a kernel called ``name`` parses its source under."""
+        return f"{name}.c"
+
+    @property
+    def filename(self) -> str:
+        """The filename of every kernel-owned parse of this kernel's text.
+
+        The process-wide frontend memo keys parses by (content, filename,
+        defines), so parsing the source, its loops and its pragma-annotated
+        variants under this one name is what lets the memo share them.
+        """
+        return self.filename_for(self.name)
+
     def parse(self) -> ast.TranslationUnit:
         if self._ast_cache is None:
-            # Shares the process-wide frontend memo with the pipeline (same
-            # content hash and filename → the same cached AST).
             from repro.frontend.cache import frontend_cache
 
-            self._ast_cache = frontend_cache().parse(
-                self.source, filename=f"{self.name}.c"
-            )
+            self._ast_cache = frontend_cache().parse(self.source, filename=self.filename)
         return self._ast_cache
+
+    def loops(self) -> List[ExtractedLoop]:
+        """The innermost loops of :attr:`function_name`, in extractor order."""
+        from repro.core.loop_extractor import extract_loops
+
+        return extract_loops(
+            self.source, function_name=self.function_name, filename=self.filename
+        )
 
     def function_ast(self) -> ast.FunctionDecl:
         unit = self.parse()

@@ -31,7 +31,6 @@ from repro.agents.policy_agent import PolicyAgent
 from repro.agents.random_search import RandomSearchAgent
 from repro.cache.reward_cache import RewardCache, resolve_cache
 from repro.core.framework import TrainingConfig, build_embedding_model
-from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.embedding.ast_paths import extract_path_contexts
@@ -558,7 +557,7 @@ def train_reference_agents(
     labels: List[Tuple[int, int]] = []
     for kernel in label_kernels:
         try:
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
+            loops = kernel.loops()
         except Exception:
             continue
         for loop in loops:
@@ -602,7 +601,7 @@ def _pretrain_embedding(
     bags, labels = [], []
     for kernel in kernels:
         try:
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
+            loops = kernel.loops()
             ir_function = pipeline.lower_kernel(kernel)
             ir_loops = ir_function.innermost_loops()
         except Exception:
@@ -628,7 +627,7 @@ def _measure_with_agent(
     agent: VectorizationAgent,
 ) -> float:
     """Cycles when ``agent`` decides the factors of every innermost loop."""
-    loops = extract_loops(kernel.source, function_name=kernel.function_name)
+    loops = kernel.loops()
     factors: Dict[int, Tuple[int, int]] = {}
     for loop in loops:
         observation = _embed_loop(embedding_model, loop)
@@ -687,7 +686,7 @@ def compare_methods(
         )
         if include_combined:
             transformed = polly.optimize(pipeline.lower_kernel(kernel))
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
+            loops = kernel.loops()
             factors: Dict[int, Tuple[int, int]] = {}
             for loop in loops:
                 observation = _embed_loop(embedding_model, loop)

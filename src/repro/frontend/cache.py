@@ -8,8 +8,10 @@ kernel set, so the same sources were parsed over and over.
 
 This module hoists that memoization to one process-wide store, keyed by
 content hash exactly like :mod:`repro.cache.reward_cache` keys kernels
-(sha1 of the source text, plus whatever parameters shape the result), with
-an explicit entry cap (LRU eviction) and hit/miss/eviction stats:
+(sha1 of the source text, plus whatever parameters shape the result: a
+parse is keyed by (content, filename, defines), so kernel-owned parses all
+use :attr:`repro.datasets.kernels.LoopKernel.filename` to share one entry),
+with an explicit entry cap (LRU eviction) and hit/miss/eviction stats:
 
     from repro.frontend.cache import frontend_cache
     cache = frontend_cache()
@@ -38,7 +40,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.frontend import ast
 from repro.frontend.parser import parse_source
@@ -138,6 +140,11 @@ class FrontendCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def keys(self) -> List[tuple]:
+        """A snapshot of the stored keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
 
     def clear(self, reset_stats: bool = True) -> None:
         with self._lock:

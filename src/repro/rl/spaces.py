@@ -138,7 +138,7 @@ class ActionSpace:
 
     def unflatten_action(self, flat_index: int) -> Tuple[int, ...]:
         """The concrete action tuple at one :meth:`all_actions` index."""
-        flat_index = int(np.clip(int(flat_index), 0, self.num_actions - 1))
+        flat_index = min(max(int(flat_index), 0), self.num_actions - 1)
         indices = []
         for menu in reversed(self.menus):
             flat_index, index = divmod(flat_index, len(menu))
@@ -169,7 +169,7 @@ class DiscreteFactorSpace(ActionSpace):
         factors = []
         for dimension, menu in enumerate(self.menus):
             index = int(raw[min(dimension, raw.size - 1)])
-            index = int(np.clip(index, 0, len(menu) - 1))
+            index = min(max(index, 0), len(menu) - 1)
             factors.append(menu[index])
         return tuple(factors)
 

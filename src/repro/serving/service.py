@@ -283,7 +283,9 @@ class CompileService:
             return kernel, sites, True
         function_name = request.function_name
         if function_name is None:
-            loops = extract_loops(request.source)
+            loops = extract_loops(
+                request.source, filename=LoopKernel.filename_for(request.name)
+            )
             if not loops:
                 raise ServingError("no loops found in the submitted source")
             function_name = loops[0].function_name

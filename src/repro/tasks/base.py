@@ -57,9 +57,7 @@ def innermost_loop_sites(kernel: "LoopKernel") -> List[DecisionSite]:
     lowered IR's ``innermost_loops()``, including loops wrapped in
     conditionals, so any indexing fix lands in every per-loop task at once.
     """
-    from repro.core.loop_extractor import extract_loops
-
-    loops = extract_loops(kernel.source, function_name=kernel.function_name)
+    loops = kernel.loops()
     return [
         DecisionSite(
             index=loop.loop_index,

@@ -57,9 +57,7 @@ class PollyTilingTask(OptimizationTask):
         including nests inside ``if`` regions), so site index ``i``
         addresses the ``i``-th outermost IR loop ``_transform`` visits.
         """
-        from repro.core.loop_extractor import extract_loops
-
-        loops = extract_loops(kernel.source, function_name=kernel.function_name)
+        loops = kernel.loops()
         sites: List[DecisionSite] = []
         seen_roots: set = set()
         for loop in loops:

@@ -144,6 +144,7 @@ class UnrollingTask(OptimizationTask):
                 for index, action in normalized.items()
             },
             function_name=kernel.function_name,
+            filename=kernel.filename,
         )
         result = measure_annotated_source(pipeline, kernel, annotated, reward_cache)
         return TaskApplication(

@@ -97,7 +97,10 @@ class VectorizationTask(OptimizationTask):
             int(index): self.cache_key(action) for index, action in decisions.items()
         }
         vectorized_source = inject_pragmas(
-            kernel.source, factor_map, function_name=kernel.function_name
+            kernel.source,
+            factor_map,
+            function_name=kernel.function_name,
+            filename=kernel.filename,
         )
         # Keyed by the effective (pragma-annotated) source — the same
         # entries vectorize_kernel uses, so either path warms the other.

@@ -1,6 +1,7 @@
 """Core framework tests: loop extraction, pragma injection, pipeline, facade."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip_loop_pragmas
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
+from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.frontend.cache import frontend_cache
 from repro.frontend.pragmas import parse_pragma_text
 from repro.simulator import cost as cost_memo
 from repro.simulator.engine import Simulator
@@ -260,6 +263,48 @@ class TestSharedLoopAnalyses:
             assert results[0].plan.factors() == build_plan(
                 ir_function, fresh_baseline.decide_function(ir_function), pipeline.machine
             ).factors()
+
+
+def count_parses(monkeypatch):
+    """Count uncached parses per source text by patching the parser behind
+    the process-wide frontend memo."""
+    from repro.frontend import cache
+
+    original = cache.parse_source
+    calls = Counter()
+
+    def counting(source, filename="<source>", defines=None):
+        calls[source] += 1
+        return original(source, filename=filename, defines=defines)
+
+    monkeypatch.setattr(cache, "parse_source", counting)
+    return calls
+
+
+class TestParseOnce:
+    """Every kernel-owned parse names the kernel's file, so the frontend memo
+    parses each distinct text once however many paths ask for it."""
+
+    @pytest.mark.parametrize("task_name", ["vectorization", "unrolling", "polly-tiling"])
+    def test_compare_agents_parses_each_distinct_text_once(self, monkeypatch, task_name):
+        from repro.core.framework import compare_agents
+
+        kernels = list(
+            generate_synthetic_dataset(SyntheticDatasetConfig(count=3, seed=5))
+        ) + [dot_product_kernel()]
+        frontend_cache().clear()
+        calls = count_parses(monkeypatch)
+        compare_agents(kernels, task=task_name)
+        assert all(kernel.source in calls for kernel in kernels)
+        assert max(calls.values()) == 1, calls.most_common(1)
+
+    def test_kernel_paths_share_the_kernel_filename(self):
+        kernel = dot_product_kernel()
+        loop = kernel.loops()[0]
+        assert loop.nest_root.span.start.filename == kernel.filename == "dot_product.c"
+        assert kernel.parse() is frontend_cache().parse(
+            kernel.source, filename=kernel.filename
+        )
 
 
 class TestNeuroVectorizerFacade:

@@ -1,10 +1,25 @@
 """Lexer tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_lexer import reference_tokenize
 
-from repro.frontend.errors import LexError
+from repro.frontend.errors import LexError, SourceLocation
 from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import TokenKind
+
+#: Fragments that stress the lexer's number, operator, literal, blank and
+#: pragma-marker rules when glued together in any order.
+C_TOKEN_SOUP = [
+    "..", ".", "1.", ".5", "1e", "E", "e", "5.e3", "1e+5", "2e-3", "0x",
+    "0X1f", "0", "9", "u", "U", "l", "L", "f", "F", "a", "_x", "int",
+    "+", "++", "a+++b", "-", "->", "<", "<<=", ">>", "=", "==", "!", "&&",
+    "|", ";", "(", ")", "{", "]", " ", "\t", "\n", "\f", "\v", "\r",
+    "'", "'a'", "'\\n'", '"', '"s"', "\\", "__REPRO_PRAGMA__",
+    '("vectorize_width(4)");', "$", "#", "@", "²", "é", "٣",
+]
+C_SOUP = "".join(sorted(set("".join(C_TOKEN_SOUP))))
 
 
 def kinds(source):
@@ -170,3 +185,113 @@ class TestPragmaMarker:
         tokens = tokenize(text)
         assert tokens[0].kind == TokenKind.PRAGMA
         assert "vectorize_width(4)" in tokens[0].value
+
+
+class TestMalformedInput:
+    """Source reaches the lexer from outside the program (``CompileServer``
+    accepts it over TCP), so malformed text must fail as a located
+    ``LexError``, never as an incidental ``TypeError``/``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "source, location",
+        [
+            ("x = '", (1, 5)),
+            ("x = '\\", (1, 5)),
+            ("x = 'ab'", (1, 5)),
+            ("x = ²;", (1, 5)),
+            ("x = 1²;", (1, 6)),
+            ("\n  0x;", (2, 3)),
+            ("y = \"abc", (1, 5)),
+            ("__REPRO_PRAGMA__ x", (1, 1)),
+            ('__REPRO_PRAGMA__("abc', (1, 1)),
+        ],
+    )
+    def test_raises_located_lex_error(self, source, location):
+        with pytest.raises(LexError) as raised:
+            tokenize(source, filename="k.c")
+        assert raised.value.location == SourceLocation(*location, "k.c")
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=st.one_of(st.text(), st.text(alphabet=C_SOUP)))
+    def test_any_text_lexes_or_raises_lex_error(self, source):
+        try:
+            tokens = tokenize(source)
+        except LexError:
+            return
+        assert tokens[-1].kind == TokenKind.EOF
+        assert all(token.kind != TokenKind.EOF for token in tokens[:-1])
+
+
+def lex_outcome(lex, source):
+    """A lexer's tokens, or the message and location of its ``LexError``."""
+    try:
+        return lex(source, "k.c")
+    except LexError as error:
+        return (error.message, error.location)
+
+
+def assert_same_as_reference(source):
+    """The table-driven lexer behaves exactly like the char-at-a-time one.
+
+    The one allowed difference: inputs the reference crashed on with a
+    non-``LexError`` (for example ``'`` at end of input, or a superscript
+    digit in a number) must now give tokens or a ``LexError``.
+    """
+    try:
+        expected = lex_outcome(reference_tokenize, source)
+    except (TypeError, ValueError):
+        lex_outcome(tokenize, source)
+        return
+    assert lex_outcome(tokenize, source) == expected
+
+
+def bundled_kernels():
+    from repro.datasets import (
+        dot_product_kernel,
+        llvm_vectorizer_suite,
+        mibench_suite,
+        polybench_suite,
+        test_benchmarks,
+    )
+
+    return [
+        dot_product_kernel(),
+        *llvm_vectorizer_suite(),
+        *test_benchmarks(),
+        *polybench_suite(),
+        *mibench_suite(),
+    ]
+
+
+class TestReferenceLexerEquivalence:
+    def test_bundled_kernels_plain_and_with_pragmas(self):
+        from repro.core.pragma_injector import inject_pragmas
+        from repro.frontend.preprocessor import preprocess
+
+        kernels = bundled_kernels()
+        for kernel in kernels:
+            decisions = {loop.loop_index: (4, 2) for loop in kernel.loops()}
+            annotated = inject_pragmas(
+                kernel.source, decisions, function_name=kernel.function_name
+            )
+            assert "__REPRO_PRAGMA__" in preprocess(annotated)[0] or not decisions
+            for source in (kernel.source, annotated):
+                text, _ = preprocess(source)
+                assert lex_outcome(tokenize, text) == lex_outcome(
+                    reference_tokenize, text
+                ), kernel.name
+
+    @settings(max_examples=400, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(C_TOKEN_SOUP), max_size=16))
+    def test_token_soup(self, pieces):
+        assert_same_as_reference("".join(pieces))
+
+    @pytest.mark.parametrize(
+        "source",
+        ["..", "1.", ".5", "1e", "1e+", "5.e3", "1..2", "0x", "0xu", "0x1Fu",
+         "a+++b", "10UL", "7lu", "3.5f", "1e3L", "a\f\v\rb", "\r\n x",
+         '__REPRO_PRAGMA__ ( "vectorize_width(4)" ) ;', "'\\''", "'\\q'",
+         '"a\\"b\\n"', "'\n'", "x = ٣;", "é1 = 2"],
+    )
+    def test_edge_cases(self, source):
+        assert_same_as_reference(source)

@@ -17,6 +17,7 @@ The serving guarantees pinned here:
 from __future__ import annotations
 
 import socket
+from collections import Counter
 
 import pytest
 
@@ -234,6 +235,31 @@ class TestTaskRouting:
         assert not response.ok
         assert "unknown task" in response.error
         assert "loop-fusion" in response.error
+
+    @pytest.mark.parametrize("task_name", ALL_TASKS)
+    def test_cold_request_parses_each_text_once(self, trained, monkeypatch, task_name):
+        from repro.frontend import cache
+
+        original = cache.parse_source
+        calls = Counter()
+
+        def counting(source, filename="<source>", defines=None):
+            calls[source] += 1
+            return original(source, filename=filename, defines=defines)
+
+        monkeypatch.setattr(cache, "parse_source", counting)
+        # A kernel no earlier test submitted, without a function name: the
+        # service finds the function from the same parse it lowers.
+        source = STREAM_SOURCE.replace("alpha", f"alpha_{task_name.replace('-', '_')}")
+        with fresh_service(trained) as service:
+            response = service.optimize(
+                CompileRequest(source=source, task=task_name, name="fresh")
+            )
+        assert response.ok, response.error
+        assert calls[source] == 1
+        # Any other parse is of a pragma-annotated variant, once each.
+        assert all("#pragma" in text for text in calls if text != source)
+        assert max(calls.values()) == 1, calls
 
     def test_mismatched_policy_head_rejected_at_construction(self, trained):
         # An unrolling task with a wider factor menu than the head bank the
