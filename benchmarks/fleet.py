@@ -143,7 +143,7 @@ def bench_fault_tolerance(workload: Dict[str, object]) -> Dict[str, object]:
     from repro.cache.reward_cache import RewardCache
     from repro.core.pipeline import CompileAndMeasure
     from repro.distributed import EvaluationService
-    from repro.fleet import FleetEvaluationService, FleetWorker, WorkerFaults
+    from repro.fleet import FleetWorker, WorkerFaults
 
     kernels = _kernels(workload)
     requests = [
@@ -167,7 +167,7 @@ def bench_fault_tolerance(workload: Dict[str, object]) -> Dict[str, object]:
         FleetWorker().start(),
     ]
     try:
-        service = FleetEvaluationService(
+        service = EvaluationService(
             CompileAndMeasure(),
             RewardCache(),
             addresses=["%s:%d" % worker.address for worker in workers],

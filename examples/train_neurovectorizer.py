@@ -28,7 +28,7 @@ from repro.distributed import EvaluationService, EvaluationServiceConfig
 from repro.evaluation.comparison import compare_methods, train_reference_agents
 from repro.evaluation.report import (
     format_cache_stats_table,
-    format_service_stats_table,
+    format_fleet_stats_table,
     format_speedup_table,
 )
 
@@ -105,7 +105,7 @@ def main() -> None:
         store = getattr(service.cache, "store", None)
         print()
         print(
-            format_service_stats_table(
+            format_fleet_stats_table(
                 service.stats,
                 store_stats=store.stats if store is not None else None,
                 preloaded=getattr(service.cache, "preloaded", 0),

@@ -138,16 +138,16 @@ class TrainingConfig:
     #: :class:`repro.evaluation.splits.KernelSplit` is recorded on the
     #: framework for ``compare_all_tasks(kernel_split=True)``.
     holdout_kernels: Optional[object] = None
-    #: Evaluation-service settings: worker processes for sharded reward
-    #: evaluation (0 = serial in-process) and the directory of the
+    #: Evaluation-service settings: local worker processes that shard
+    #: reward evaluation alongside any fleet workers (0 with no reachable
+    #: fleet worker = serial in-process) and the directory of the
     #: persistent cross-run reward store (None = memory only).
     workers: int = 0
     cache_dir: Optional[str] = None
     #: Fleet evaluation: ``host:port`` addresses of running
-    #: :class:`repro.fleet.FleetWorker` daemons.  When set (and at least
-    #: one is reachable) reward evaluation shards across those hosts
-    #: instead of local worker processes; ``workers`` becomes the local
-    #: fallback pool used if none answer.  ``fleet_prefetch_top_k`` is the
+    #: :class:`repro.fleet.FleetWorker` daemons.  Every address that
+    #: answers joins the ``workers`` local processes in one worker set;
+    #: unreachable ones are skipped.  ``fleet_prefetch_top_k`` is the
     #: number of most-likely next actions speculatively evaluated per
     #: upcoming sample while the trainer is busy inferring (0 disables
     #: prefetch).
@@ -370,45 +370,29 @@ class NeuroVectorizer:
         stats = self.reward_cache.stats
         if stats.lookups == 0 and stats.batch_deduplicated == 0:
             return format_no_evaluations_table(title=title)
-        service_stats = getattr(self.evaluation_service, "stats", None)
         return format_cache_stats_table(
             stats,
             title=title,
             simulator_memo=self.pipeline.simulator_memo_stats(),
             frontend=frontend_cache().stats.as_dict(),
-            # A fleet service's stats carry the speculative-prefetch
-            # ledger; split those hits out from demand-earned ones.
-            fleet=(
-                service_stats
-                if hasattr(service_stats, "prefetch_issued")
-                else None
-            ),
+            # The service's stats carry the speculative-prefetch ledger;
+            # split those hits out from demand-earned ones.
+            fleet=getattr(self.evaluation_service, "stats", None),
         )
 
     def service_stats_report(self, title: str = "evaluation service"):
-        """Per-worker dispatch statistics of the evaluation service.
+        """Per-worker dispatch, robustness and prefetch statistics of the
+        evaluation service.
 
         Returns ``None`` when no service is attached; includes persistent
-        store statistics when the cache is disk-backed.  A fleet-backed
-        service renders the fleet table (robustness + prefetch counters)
-        instead of the local-service one.
+        store statistics when the cache is disk-backed.
         """
-        from repro.evaluation.report import (
-            format_fleet_stats_table,
-            format_service_stats_table,
-        )
+        from repro.evaluation.report import format_fleet_stats_table
 
         if self.evaluation_service is None:
             return None
         store = getattr(self.reward_cache, "store", None)
-        formatter = (
-            format_fleet_stats_table
-            if hasattr(self.evaluation_service.stats, "prefetch_issued")
-            else format_service_stats_table
-        )
-        if formatter is format_fleet_stats_table and title == "evaluation service":
-            title = "fleet evaluation"
-        return formatter(
+        return format_fleet_stats_table(
             self.evaluation_service.stats,
             store_stats=store.stats if store is not None else None,
             preloaded=getattr(self.reward_cache, "preloaded", 0),
@@ -912,24 +896,15 @@ class NeuroVectorizer:
             )
         else:
             reward_cache = RewardCache()
-        if config.fleet_workers:
-            from repro.fleet import FleetEvaluationService
-
-            # Shard reward evaluation across remote fleet workers; when
-            # none of the addresses answer this degrades to a local
-            # EvaluationService with ``config.workers`` processes.
-            evaluation_service = FleetEvaluationService.connect(
-                pipeline,
-                reward_cache,
-                addresses=list(config.fleet_workers),
-                fallback_workers=config.workers,
-                prefetch_top_k=config.fleet_prefetch_top_k,
-            )
-        elif config.workers > 0:
+        if config.workers > 0 or config.fleet_workers:
             from repro.distributed.service import EvaluationService
 
             evaluation_service = EvaluationService(
-                pipeline, reward_cache, workers=config.workers
+                pipeline,
+                reward_cache,
+                workers=config.workers,
+                addresses=list(config.fleet_workers),
+                prefetch_top_k=config.fleet_prefetch_top_k,
             )
         # From here on the service/store own live resources (worker
         # processes, an open segment file); if any training stage raises

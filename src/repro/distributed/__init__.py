@@ -4,18 +4,16 @@ The scaling layer over :mod:`repro.cache`:
 
 * :class:`PersistentRewardStore` / :class:`DiskBackedRewardCache` — reuse
   measurements **across runs** via an append-only on-disk store,
-* :class:`EvaluationService` — shard batched reward queries across worker
-  processes (serial in-process fallback at ``workers=0``),
+* :class:`EvaluationService` — the one reward-evaluation service: shards
+  batched reward queries across forked local worker processes and remote
+  :mod:`repro.fleet` workers through one protocol, with an in-process
+  serial path when it has no worker,
 * :class:`AsyncEvaluator` — future-based submission so training overlaps
   simulation with policy inference.
 """
 
 from repro.distributed.config import EvaluationServiceConfig
-from repro.distributed.service import (
-    EvaluationFuture,
-    EvaluationService,
-    ServiceStats,
-)
+from repro.distributed.service import EvaluationFuture, EvaluationService
 from repro.distributed.store import (
     CompactionPolicy,
     DiskBackedRewardCache,
@@ -27,7 +25,6 @@ __all__ = [
     "EvaluationServiceConfig",
     "EvaluationFuture",
     "EvaluationService",
-    "ServiceStats",
     "CompactionPolicy",
     "DiskBackedRewardCache",
     "PersistentRewardStore",

@@ -10,9 +10,9 @@ from typing import Optional
 class EvaluationServiceConfig:
     """How reward evaluation is persisted, sharded and overlapped.
 
-    * ``workers`` — evaluation worker processes.  ``0`` (the default) keeps
-      everything serial and in-process; ``>= 1`` starts that many workers,
-      sharded by kernel content hash.
+    * ``workers`` — local evaluation worker processes.  ``0`` (the
+      default) keeps everything serial and in-process; ``>= 1`` forks that
+      many workers, sharded by kernel content hash.
     * ``cache_dir`` — directory of the persistent reward store; ``None``
       keeps the cache memory-only.
     * ``flush_every`` — how many appended records may sit in the OS buffer
@@ -20,8 +20,8 @@ class EvaluationServiceConfig:
     * ``max_entries`` — in-memory cache bound (FIFO eviction); the disk
       store is never trimmed by eviction.
     * ``result_timeout`` — liveness-check interval: how long to wait for a
-      worker result before checking whether any worker died (only a dead
-      worker is fatal; a slow-but-alive one just waits another round).
+      worker result before checking heartbeats (a dead worker's requests
+      are re-sharded; a slow-but-alive one just waits another round).
     """
 
     workers: int = 0

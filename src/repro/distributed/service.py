@@ -1,26 +1,52 @@
-"""Sharded, future-based reward evaluation over a worker-process pool.
+"""Sharded, future-based reward evaluation: the one evaluation service.
 
 :class:`EvaluationService` is the single entry point every reward consumer
-(environment, agents, the PPO trainer) routes batched queries through:
+(environment, agents, the PPO trainer, the comparison runner) routes
+batched queries through.  Its worker set is ``workers`` local processes
+plus every fleet address that answers:
 
-* ``workers == 0`` — the serial in-process fallback: requests go through a
-  plain :class:`EvaluationBatcher`, byte-identical to the PR-1 path.
-* ``workers >= 1`` — unique cache misses are dispatched to a pool of
-  worker processes, **sharded by kernel content hash** so each kernel's
-  simulator/IR memos live on exactly one worker and stay hot.
+* each local worker is a forked process running an ordinary
+  :class:`~repro.fleet.worker.FleetWorker` session on one end of a
+  ``socketpair``; the service adopts the other end;
+* remote :class:`~repro.fleet.worker.FleetWorker` daemons are dialed over
+  TCP.
+
+Both kinds speak the same protocol through one
+:class:`~repro.fleet.coordinator.FleetCoordinator`, so sharding, dedup,
+payload shipping and fault handling are one code path.  With no worker at
+all (``workers == 0`` and nobody answers) requests go through a plain
+:class:`EvaluationBatcher` in-process — the serial reference path.
 
 ``submit`` returns an :class:`EvaluationFuture` immediately; results are
 collected lazily, which is what lets a training loop overlap simulation
-with policy inference (see :mod:`repro.distributed.async_api`).  Requests
-are deduplicated against the cache, against each other, *and against
-queries still in flight from earlier futures* — a key is never evaluated
-twice no matter how batches interleave.
+with policy inference (see :mod:`repro.distributed.async_api`).  Unique
+cache misses are **sharded by kernel content hash** over the sorted live
+workers, so each kernel's simulator/IR memos live on one worker and stay
+hot.  Requests are deduplicated against the cache, against each other,
+*and against queries still in flight from earlier futures* — a key is
+never evaluated twice no matter how batches interleave — so results are
+byte-identical to serial regardless of sharding.  A lost worker (killed
+process, dead host, silent heartbeat, torn connection) has its orphaned
+keys re-sharded onto survivors (bounded retries, exponential backoff) or
+evaluated inline when nobody survives, so results are byte-identical to
+serial regardless of failures too.
+
+Speculative prefetch rides the same machinery: :meth:`EvaluationService.
+prefetch` dispatches likely-next keys at low priority with an *empty*
+waiter list.  Demand that arrives later either finds the answer in the
+cache (a prefetch **hit**) or joins the in-flight request (**joined**);
+speculation nobody ever wanted is **wasted**.
+:class:`~repro.fleet.stats.FleetStats` tracks all three.
 """
 
 from __future__ import annotations
 
+import os
 import queue as queue_module
-from dataclasses import dataclass, field
+import signal
+import socket
+import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.reward_cache import (
@@ -33,11 +59,20 @@ from repro.cache.reward_cache import (
     normalize_requests,
 )
 from repro.distributed.config import EvaluationServiceConfig
-from repro.distributed.worker import WorkRequest, kernel_payload, worker_main
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.protocol import (
+    PRIORITY_PREFETCH,
+    decode_entries,
+    kernel_message,
+    kernel_payload,
+    task_message,
+    work_message,
+)
+from repro.fleet.stats import FleetStats
+from repro.fleet.worker import evaluate_work
 
 if TYPE_CHECKING:
     from repro.core.pipeline import CompileAndMeasure
-    from repro.datasets.kernels import LoopKernel
     from repro.tasks.base import OptimizationTask
 
 #: One reward query: the generic (kernel, site index, action tuple) triple
@@ -45,32 +80,10 @@ if TYPE_CHECKING:
 EvaluationRequest = Tuple
 
 
-@dataclass
-class ServiceStats:
-    """Dispatch accounting for one :class:`EvaluationService`."""
-
-    dispatched: int = 0
-    completed: int = 0
-    errors: int = 0
-    serial_batches: int = 0
-    serial_requests: int = 0
-    per_worker_dispatched: Dict[int, int] = field(default_factory=dict)
-    per_worker_completed: Dict[int, int] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "dispatched": float(self.dispatched),
-            "completed": float(self.completed),
-            "errors": float(self.errors),
-            "serial_batches": float(self.serial_batches),
-            "serial_requests": float(self.serial_requests),
-        }
-
-
 class EvaluationFuture:
     """Outcomes of one submitted batch, filled as workers answer.
 
-    ``result()`` blocks (draining the service's result queue) until every
+    ``result()`` blocks (draining the service's result events) until every
     slot is filled, then returns :class:`BatchOutcome` objects in request
     order — the same contract as ``EvaluationBatcher.flush``.
     """
@@ -108,12 +121,45 @@ class EvaluationFuture:
         self._errors.append(message)
 
 
-class EvaluationService:
-    """Batched reward evaluation, sharded across worker processes.
+@dataclass
+class _PendingRecord:
+    """One in-flight request: everything needed to re-shard it."""
 
-    The service owns neither the pipeline nor the cache — both may be (and
-    usually are) shared with the rest of the run, so workers' results are
-    visible to every in-process consumer the moment they land.
+    key: RewardKey
+    kernel: object
+    site_index: int
+    action: Tuple[int, ...]
+    task: object
+    kind: str = "site"
+    decisions: Optional[dict] = None
+    worker: Optional[str] = None
+    prefetch: bool = False
+    attempts: int = 1
+    priority: int = 0
+
+
+def _serve_local_worker(connection: socket.socket, index: int) -> None:
+    """Body of a forked local worker process; never returns."""
+    from repro.fleet.worker import FleetWorker
+
+    status = 1
+    try:
+        FleetWorker(name=f"local-{index}").serve(connection)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class EvaluationService:
+    """Batched reward evaluation, sharded across local and remote workers.
+
+    ``workers`` local processes are forked (before any coordinator thread
+    starts) and every ``addresses`` entry that answers is dialed; a ready
+    ``coordinator`` may be passed instead of addresses (e.g. one whose
+    :meth:`~FleetCoordinator.listen` accepts dial-in workers).  The service
+    owns neither the pipeline nor the cache — both may be (and usually are)
+    shared with the rest of the run, so workers' results are visible to
+    every in-process consumer the moment they land.
     """
 
     def __init__(
@@ -121,32 +167,53 @@ class EvaluationService:
         pipeline: "CompileAndMeasure",
         cache: Optional[RewardCache] = None,
         workers: int = 0,
+        addresses: Sequence[str] = (),
+        coordinator: Optional[FleetCoordinator] = None,
         result_timeout: float = 120.0,
+        connect_timeout: float = 5.0,
+        heartbeat_interval: float = 0.5,
+        heartbeat_timeout: float = 10.0,
+        max_retries: int = 3,
+        retry_backoff: float = 0.05,
+        prefetch_top_k: int = 8,
+        prefetch_horizon: Optional[int] = None,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.pipeline = pipeline
         self.cache = RewardCache() if cache is None else cache
-        self.workers = int(workers)
         self.result_timeout = result_timeout
-        self.stats = ServiceStats()
-        self._processes: List = []
-        self._inboxes: List = []
-        self._outbox = None
-        self._shipped: List[set] = []
-        # Per worker: task name -> id() of the instance last shipped there.
-        self._shipped_tasks: List[Dict[str, int]] = []
+        self.max_retries = int(max_retries)
+        self.retry_backoff = retry_backoff
+        self.prefetch_top_k = int(prefetch_top_k)
+        self.prefetch_horizon = prefetch_horizon
+        self.stats = FleetStats()
+        #: Process ids of the forked local workers (reaped by ``close``).
+        self.local_pids: List[int] = []
+        self._owner_pid = os.getpid()
+        self._closed = False
+        local_ends = self._fork_local_workers(int(workers))
+        if coordinator is None:
+            coordinator = FleetCoordinator(
+                pipeline.machine,
+                pipeline.default_symbol_value,
+                connect_timeout=connect_timeout,
+                heartbeat_interval=heartbeat_interval,
+                heartbeat_timeout=heartbeat_timeout,
+            )
+        self.coordinator = coordinator
+        for connection in local_ends:
+            coordinator.adopt(connection)
+        coordinator.dial(addresses)
         self._next_request_id = 0
-        self._pending: Dict[int, RewardKey] = {}
+        self._pending: Dict[int, _PendingRecord] = {}
+        self._inflight: Dict[RewardKey, int] = {}
         self._waiters: Dict[RewardKey, List[Tuple[EvaluationFuture, int]]] = {}
-        # Whole-kernel application fan-out (measure_applications): in-flight
-        # jobs by request id, jobs already fanned out this service lifetime
-        # (so repeat comparisons don't re-dispatch), and collected failures.
-        self._pending_apply: Dict[int, RewardKey] = {}
+        self._prefetched_keys: set = set()
+        # Whole-kernel applications already fanned out this service
+        # lifetime (so repeat comparisons don't re-dispatch), and failures.
         self._applied: set = set()
         self._apply_errors: List[Tuple[RewardKey, str]] = []
-        if self.workers > 0:
-            self._start_workers()
 
     @classmethod
     def from_config(
@@ -176,62 +243,51 @@ class EvaluationService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _start_workers(self) -> None:
-        import multiprocessing
+    def _fork_local_workers(self, count: int) -> List[socket.socket]:
+        """Fork ``count`` local workers; returns the parent's socket ends."""
+        parent_ends: List[socket.socket] = []
+        for index in range(count):
+            parent_end, child_end = socket.socketpair()
+            pid = os.fork()
+            if pid == 0:
+                # Siblings' ends would keep their sockets open past death.
+                for end in parent_ends + [parent_end]:
+                    end.close()
+                _serve_local_worker(child_end, index)
+            child_end.close()
+            parent_ends.append(parent_end)
+            self.local_pids.append(pid)
+        return parent_ends
 
-        # fork is cheapest and always available on the Linux targets; fall
-        # back to the platform default (spawn) elsewhere — the worker entry
-        # point and payloads are written to survive either.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self._outbox = context.Queue()
-        for worker_id in range(self.workers):
-            inbox = context.Queue()
-            process = context.Process(
-                target=worker_main,
-                args=(
-                    worker_id,
-                    self.pipeline.machine,
-                    self.pipeline.default_symbol_value,
-                    inbox,
-                    self._outbox,
-                ),
-                daemon=True,
-                name=f"reward-eval-worker-{worker_id}",
-            )
-            process.start()
-            self._processes.append(process)
-            self._inboxes.append(inbox)
-            self._shipped.append(set())
-            self._shipped_tasks.append({})
+    @property
+    def workers(self) -> int:
+        """Live workers, local and remote.  Zero means every duck-typed
+        consumer (async overlap, comparison fan-out) sees a serial
+        service."""
+        return len(self.coordinator.live_workers())
 
     def close(self) -> None:
-        """Stop all workers.  Safe to call more than once.
+        """Stop all connections and reap the local worker processes.
 
-        Call only after every outstanding future has been resolved; pending
-        requests are abandoned, not re-run.
+        Safe to call more than once.  Call only after every outstanding
+        future has been resolved; pending requests are abandoned.
         """
-        if not self._processes:
+        if self._closed or os.getpid() != self._owner_pid:
             return
-        for inbox in self._inboxes:
+        self._closed = True
+        self.coordinator.stop()
+        deadline = time.monotonic() + 5.0
+        for pid in self.local_pids:
             try:
-                inbox.put(None)
-            except (OSError, ValueError):
+                while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    if time.monotonic() > deadline:
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                        break
+                    time.sleep(0.01)
+            except ChildProcessError:
                 pass
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-        for inbox in self._inboxes:
-            inbox.cancel_join_thread()
-            inbox.close()
-        if self._outbox is not None:
-            self._outbox.cancel_join_thread()
-            self._outbox.close()
-        self._processes = []
-        self._inboxes = []
-        self._outbox = None
+        self.local_pids = []
 
     def __enter__(self) -> "EvaluationService":
         return self
@@ -264,11 +320,11 @@ class EvaluationService:
 
         ``task`` is the optimization task the actions belong to (the
         vectorization default covers the legacy 4-tuple requests).  With
-        workers the call returns immediately after dispatching the unique
-        misses; serially (``workers == 0``) the batch is evaluated before
-        returning and the future is already done.
+        live workers the call returns right after dispatching the unique
+        misses; serially the batch is evaluated before returning and the
+        future is already done.
         """
-        if self.workers > 0 and not self._processes:
+        if self._closed:
             raise RuntimeError(
                 "evaluation service is closed; create a new one to submit"
             )
@@ -290,16 +346,14 @@ class EvaluationService:
             normalize_requests(requests)
         ):
             action = task.cache_key(action)
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                site_index,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=action,
-                task=task.name,
-            )
+            key = self._key(kernel, site_index, action, task)
             cached = self.cache.get(key)
             if cached is not None:
+                if key in self._prefetched_keys:
+                    # This demand lookup would have been a dispatch-and-wait
+                    # without speculation: a prefetch hit.
+                    self._prefetched_keys.discard(key)
+                    self.stats.prefetch_hits += 1
                 future._fill(slot, BatchOutcome(cached, True))
                 continue
             waiters = self._waiters.get(key)
@@ -309,56 +363,149 @@ class EvaluationService:
                 # correct it to a dedup — exactly the batcher's accounting.
                 self.cache.stats.misses -= 1
                 self.cache.stats.batch_deduplicated += 1
+                record = self._pending.get(self._inflight.get(key, -1))
+                if record is not None and record.prefetch:
+                    # Demand caught up with in-flight speculation.
+                    record.prefetch = False
+                    self.stats.prefetch_joined += 1
                 waiters.append((future, slot))
                 continue
             self._waiters[key] = [(future, slot)]
-            self._dispatch(key, kernel, int(site_index), action, task)
+            record = _PendingRecord(
+                key=key,
+                kernel=kernel,
+                site_index=int(site_index),
+                action=action,
+                task=task,
+            )
+            if not self._dispatch(record):
+                # Every worker vanished mid-batch: evaluate inline.
+                self._evaluate_inline(self._register(record), record)
         return future
 
-    def _dispatch(
-        self,
-        key: RewardKey,
-        kernel: "LoopKernel",
-        site_index: int,
-        action: Tuple[int, ...],
-        task: "OptimizationTask",
-    ) -> None:
-        shard = int(key.kernel_hash[:8], 16) % self.workers
-        payload = None
-        if key.kernel_hash not in self._shipped[shard]:
-            payload = kernel_payload(kernel)
-            self._shipped[shard].add(key.kernel_hash)
-        # Ship the task object once per (worker, task name, instance):
-        # workers then hold the exact instance this process uses, so tasks
-        # registered only here (or configured differently from the registry
-        # default) still evaluate correctly in the shards.  Re-shipped when
-        # a *different* instance reuses the name, so a reconfigured task
-        # never evaluates under a stale predecessor.  (In-place mutation of
-        # a shipped task between submits is not detectable — don't.)
-        task_payload = None
-        if self._shipped_tasks[shard].get(task.name) != id(task):
-            task_payload = task
-            self._shipped_tasks[shard][task.name] = id(task)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self._pending[request_id] = key
-        self.stats.dispatched += 1
-        self.stats.per_worker_dispatched[shard] = (
-            self.stats.per_worker_dispatched.get(shard, 0) + 1
-        )
-        self._inboxes[shard].put(
-            WorkRequest(
-                request_id,
-                key.kernel_hash,
-                payload,
-                site_index,
-                action,
-                task.name,
-                task_payload,
+    def prefetch(self, requests, task=None) -> int:
+        """Speculatively evaluate likely-next requests at low priority.
+
+        Skips anything already cached or in flight, and registers an empty
+        waiter list so later demand joins instead of re-dispatching.
+        Returns the number of speculations actually issued.
+        """
+        if self.workers == 0 or not requests:
+            return 0
+        if task is None:
+            from repro.tasks import resolve_task
+
+            task = resolve_task(None)
+        issued = 0
+        for kernel, site_index, action in normalize_requests(requests):
+            action = task.cache_key(action)
+            key = self._key(kernel, site_index, action, task)
+            # peek(): speculation must not skew the demand hit/miss stats.
+            if self.cache.peek(key) is not None or key in self._waiters:
+                continue
+            record = _PendingRecord(
+                key=key,
+                kernel=kernel,
+                site_index=int(site_index),
+                action=action,
+                task=task,
+                prefetch=True,
+                priority=PRIORITY_PREFETCH,
             )
+            self._waiters[key] = []
+            if not self._dispatch(record):
+                del self._waiters[key]
+                break
+            self.stats.prefetch_issued += 1
+            issued += 1
+        return issued
+
+    def settle(self) -> None:
+        """Drain every outstanding result, including pure speculation.
+
+        After this, demand lookups for completed prefetches are plain
+        cache hits.  Demand futures normally drain lazily via
+        ``result()``; ``settle()`` is for quiesce points (end of a batch,
+        before reading stats, shutting down an example) where leftover
+        speculative work should land in the cache rather than be lost.
+        """
+        while self._pending:
+            self._drain_one()
+
+    def _key(self, kernel, site_index, action, task) -> RewardKey:
+        return self.cache.key_for(
+            kernel,
+            self.pipeline.machine,
+            site_index,
+            default_symbol_value=self.pipeline.default_symbol_value,
+            action=action,
+            task=task.name,
         )
 
-    # -- whole-kernel application fan-out -----------------------------------
+    # -- dispatch ----------------------------------------------------------
+
+    def _register(self, record: _PendingRecord) -> int:
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        self._pending[request_id] = record
+        self._inflight[record.key] = request_id
+        return request_id
+
+    def _dispatch(self, record: _PendingRecord) -> bool:
+        request_id = self._register(record)
+        if not self._send_record(request_id, record):
+            del self._pending[request_id]
+            del self._inflight[record.key]
+            return False
+        self.stats.record_dispatch(record.worker, prefetch=record.prefetch)
+        return True
+
+    def _send_record(self, request_id: int, record: _PendingRecord) -> bool:
+        """Ship one record to its shard; re-pick on send failure.  False
+        only when zero live workers remain."""
+        while True:
+            live = self.coordinator.live_workers()
+            if not live:
+                record.worker = None
+                return False
+            shard = live[int(record.key.kernel_hash[:8], 16) % len(live)]
+            worker = self.coordinator.worker(shard)
+            messages = []
+            if record.key.kernel_hash not in worker.shipped_kernels:
+                worker.shipped_kernels.add(record.key.kernel_hash)
+                messages.append(
+                    kernel_message(record.key.kernel_hash, kernel_payload(record.kernel))
+                )
+            # Ship the task object once per (worker, task name, instance):
+            # workers then hold the exact instance this process uses, so
+            # tasks registered only here (or configured differently from the
+            # registry default) still evaluate correctly.  Re-shipped when a
+            # *different* instance reuses the name.  (In-place mutation of a
+            # shipped task between submits is not detectable — don't.)
+            if worker.shipped_tasks.get(record.task.name) != id(record.task):
+                worker.shipped_tasks[record.task.name] = id(record.task)
+                messages.append(task_message(record.task.name, record.task))
+            messages.append(
+                work_message(
+                    request_id,
+                    record.kind,
+                    record.key.kernel_hash,
+                    record.site_index,
+                    record.action,
+                    record.task.name,
+                    decisions=record.decisions,
+                    priority=record.priority,
+                )
+            )
+            record.worker = shard
+            try:
+                self.coordinator.send_many(shard, messages)
+                return True
+            except OSError:
+                record.worker = None
+                self.coordinator.mark_lost(shard)
+
+    # -- whole-kernel application fan-out ----------------------------------
 
     def measure_applications(self, task: "OptimizationTask", jobs, detail: bool = False):
         """Fan whole-kernel task applications out across the worker shards.
@@ -380,12 +527,12 @@ class EvaluationService:
         which jobs actually cost a simulation this call.
         Raises if any worker failed; failed jobs become retryable again.
         """
-        if self.workers == 0 or not jobs:
-            return [False] * len(jobs or []) if detail else 0
-        if not self._processes:
+        if self._closed:
             raise RuntimeError(
                 "evaluation service is closed; create a new one to submit"
             )
+        if self.workers == 0 or not jobs:
+            return [False] * len(jobs or []) if detail else 0
         flags: List[bool] = []
         outstanding: set = set()
         for kernel, decisions in jobs:
@@ -393,53 +540,32 @@ class EvaluationService:
             for site_index in sorted(decisions):
                 flattened.append(int(site_index))
                 flattened.extend(int(value) for value in decisions[site_index])
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                WHOLE_FUNCTION_APPLICATION,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=tuple(flattened),
-                task=task.name,
-            )
+            key = self._key(kernel, WHOLE_FUNCTION_APPLICATION, tuple(flattened), task)
             if key in self._applied:
                 flags.append(False)
                 continue
             self._applied.add(key)
-            shard = int(key.kernel_hash[:8], 16) % self.workers
-            payload = None
-            if key.kernel_hash not in self._shipped[shard]:
-                payload = kernel_payload(kernel)
-                self._shipped[shard].add(key.kernel_hash)
-            task_payload = None
-            if self._shipped_tasks[shard].get(task.name) != id(task):
-                task_payload = task
-                self._shipped_tasks[shard][task.name] = id(task)
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending_apply[request_id] = key
-            outstanding.add(request_id)
-            self.stats.dispatched += 1
-            self.stats.per_worker_dispatched[shard] = (
-                self.stats.per_worker_dispatched.get(shard, 0) + 1
+            record = _PendingRecord(
+                key=key,
+                kernel=kernel,
+                site_index=WHOLE_FUNCTION_APPLICATION,
+                action=tuple(flattened),
+                task=task,
+                kind="apply",
+                decisions={
+                    int(site): tuple(int(v) for v in action)
+                    for site, action in decisions.items()
+                },
             )
-            self._inboxes[shard].put(
-                WorkRequest(
-                    request_id,
-                    key.kernel_hash,
-                    payload,
-                    WHOLE_FUNCTION_APPLICATION,
-                    tuple(flattened),
-                    task.name,
-                    task_payload,
-                    kind="apply",
-                    decisions={
-                        int(site): tuple(int(v) for v in action)
-                        for site, action in decisions.items()
-                    },
-                )
-            )
-            flags.append(True)
-        while any(rid in self._pending_apply for rid in outstanding):
+            request_id = self._register(record)
+            if self._send_record(request_id, record):
+                self.stats.record_dispatch(record.worker)
+                outstanding.add(request_id)
+                flags.append(True)
+            else:
+                self._evaluate_inline(request_id, record)
+                flags.append(False)
+        while any(rid in self._pending for rid in outstanding):
             self._drain_one()
         if self._apply_errors:
             errors, self._apply_errors = self._apply_errors, []
@@ -451,62 +577,154 @@ class EvaluationService:
             )
         return flags if detail else sum(flags)
 
-    # -- result collection -------------------------------------------------
+    # -- result collection --------------------------------------------------
 
     def _drain_until(self, future: EvaluationFuture) -> None:
         while not future.done():
             self._drain_one()
 
     def _drain_one(self) -> None:
-        # ``result_timeout`` is a liveness-check interval, not a deadline: a
-        # slow simulation on a healthy worker just waits another round; only
-        # an actually-dead worker (whose results would never come) is fatal.
+        # The timeout is a liveness-check interval, not a deadline: slow
+        # simulations on healthy workers just wait another round, and dead
+        # workers surface as ("lost", ...) events.
         while True:
             try:
-                result = self._outbox.get(timeout=self.result_timeout)
+                event, name, message = self.coordinator.inbox.get(
+                    timeout=self.result_timeout
+                )
                 break
             except queue_module.Empty:
-                dead = [
-                    process.name
-                    for process in self._processes
-                    if not process.is_alive()
-                ]
-                if dead:
-                    raise RuntimeError(
-                        f"evaluation worker(s) died: {dead} "
-                        f"({len(self._pending)} request(s) outstanding)"
-                    )
-        if result.request_id in self._pending_apply:
-            key = self._pending_apply.pop(result.request_id)
-            self.stats.completed += 1
-            self.stats.per_worker_completed[result.worker_id] = (
-                self.stats.per_worker_completed.get(result.worker_id, 0) + 1
-            )
-            if result.error is not None:
-                self.stats.errors += 1
-                self._apply_errors.append((key, result.error))
-                return
-            for entry_key, measurement in result.entries or []:
-                # peek() not get(): merging shipped entries is plumbing,
-                # not a lookup, and skipping already-present keys keeps a
-                # disk-backed store from appending duplicate records.
-                if self.cache.peek(entry_key) is None:
-                    self.cache.put(entry_key, measurement)
+                self.coordinator.check_timeouts()
+                if not self._pending:
+                    return
+        if event == "lost":
+            self._handle_lost(name)
             return
-        key = self._pending.pop(result.request_id)
-        waiters = self._waiters.pop(key, [])
-        self.stats.completed += 1
-        self.stats.per_worker_completed[result.worker_id] = (
-            self.stats.per_worker_completed.get(result.worker_id, 0) + 1
-        )
-        if result.error is not None:
+        record = self._pending.pop(message["id"], None)
+        if record is None:
+            # A duplicate answer after a retry raced the original — the
+            # values are deterministic, so first-wins is safe.
+            return
+        self._inflight.pop(record.key, None)
+        self.stats.record_completion(name)
+        error = message.get("error")
+        if error is not None:
             self.stats.errors += 1
-            for waiting_future, slot in waiters:
-                waiting_future._fail(slot, result.error)
+            if record.kind == "apply":
+                self._apply_errors.append((record.key, error))
+            for waiting_future, slot in self._waiters.pop(record.key, []):
+                waiting_future._fail(slot, error)
             return
-        measurement = CachedMeasurement(
-            cycles=result.cycles, compile_seconds=result.compile_seconds
+        if record.kind == "apply":
+            self._merge_entries(decode_entries(message.get("entries")))
+            return
+        self._resolve(
+            record,
+            CachedMeasurement(
+                cycles=float(message["cycles"]),
+                compile_seconds=float(message["compile_seconds"]),
+            ),
         )
-        self.cache.put(key, measurement)
+
+    def _merge_entries(self, entries) -> None:
+        for entry_key, measurement in entries:
+            # peek() not get(): merging shipped entries is plumbing, not a
+            # lookup, and skipping present keys keeps disk stores
+            # duplicate-free.
+            if self.cache.peek(entry_key) is None:
+                self.cache.put(entry_key, measurement)
+
+    def _resolve(self, record: _PendingRecord, measurement: CachedMeasurement) -> None:
+        self.cache.put(record.key, measurement)
+        waiters = self._waiters.pop(record.key, [])
         for position, (waiting_future, slot) in enumerate(waiters):
             waiting_future._fill(slot, BatchOutcome(measurement, position > 0))
+        if record.prefetch and not waiters:
+            # Speculation landed before any demand wanted it: later demand
+            # finds it in the cache and counts as a prefetch hit.
+            self._prefetched_keys.add(record.key)
+
+    # -- loss recovery ------------------------------------------------------
+
+    def _handle_lost(self, name: str) -> None:
+        """Re-shard one dead worker's orphans onto the survivors.
+
+        Demanded work (anything with waiters, plus whole-kernel
+        applications) is retried with exponential backoff up to
+        ``max_retries`` re-dispatches; pure speculation is simply dropped.
+        With zero survivors, demanded work runs inline on the service's
+        own pipeline — identical code path, identical bytes.
+        """
+        self.stats.workers_lost += 1
+        demanded: List[Tuple[int, _PendingRecord]] = []
+        for request_id, record in sorted(self._pending.items()):
+            if record.worker != name:
+                continue
+            if record.kind == "apply" or self._waiters.get(record.key):
+                demanded.append((request_id, record))
+                continue
+            # Un-joined speculation: drop it (implicitly counted wasted).
+            del self._pending[request_id]
+            self._inflight.pop(record.key, None)
+            self._waiters.pop(record.key, None)
+        retryable: List[Tuple[int, _PendingRecord]] = []
+        for request_id, record in demanded:
+            record.attempts += 1
+            if record.attempts > self.max_retries + 1:
+                self._fail_record(request_id, record)
+                continue
+            retryable.append((request_id, record))
+        if not retryable:
+            return
+        if not self.coordinator.live_workers():
+            for request_id, record in retryable:
+                self._evaluate_inline(request_id, record)
+            return
+        # One grouped backoff per loss event, growing with the worst
+        # retry count in the group.
+        worst = max(record.attempts for _rid, record in retryable)
+        if self.retry_backoff > 0:
+            time.sleep(self.retry_backoff * (2 ** (worst - 2)))
+        for request_id, record in retryable:
+            if self._send_record(request_id, record):
+                self.stats.retries += 1
+                self.stats.reshards += 1
+                self.stats.per_worker_dispatched[record.worker] = (
+                    self.stats.per_worker_dispatched.get(record.worker, 0) + 1
+                )
+            else:
+                self._evaluate_inline(request_id, record)
+
+    def _fail_record(self, request_id: int, record: _PendingRecord) -> None:
+        self.stats.errors += 1
+        del self._pending[request_id]
+        self._inflight.pop(record.key, None)
+        message = (
+            f"evaluation worker(s) lost; gave up on {record.kind} request "
+            f"after {self.max_retries} retries (key {record.key})"
+        )
+        if record.kind == "apply":
+            self._apply_errors.append((record.key, message))
+            return
+        for waiting_future, slot in self._waiters.pop(record.key, []):
+            waiting_future._fail(slot, message)
+
+    def _evaluate_inline(self, request_id: int, record: _PendingRecord) -> None:
+        """Last-resort local evaluation — the workers' own recipe run on
+        the service's pipeline, so results stay byte-identical."""
+        self._pending.pop(request_id, None)
+        self._inflight.pop(record.key, None)
+        self.stats.inline_evaluations += 1
+        result = evaluate_work(
+            self.pipeline,
+            record.kernel,
+            record.task,
+            record.kind,
+            record.site_index,
+            record.action,
+            record.decisions,
+        )
+        if record.kind == "apply":
+            self._merge_entries(result)
+        else:
+            self._resolve(record, result)

@@ -388,9 +388,9 @@ class ComparisonRunner:
         # Phase 2: fan the applications out across the service's worker
         # shards; their measurements land in the shared cache (including a
         # disk-backed store), making phase 3 lookup-only.  Any service with
-        # ``workers``/``measure_applications`` fits — the in-process
-        # EvaluationService and the multi-host FleetEvaluationService both
-        # qualify, so a comparison can span machines without code changes.
+        # ``workers``/``measure_applications`` fits — the EvaluationService
+        # shards over local processes and remote fleet workers alike, so a
+        # comparison can span machines without code changes.
         service = self.evaluation_service
         if service is not None and getattr(service, "workers", 0) > 0:
             if service.cache is not self.reward_cache:

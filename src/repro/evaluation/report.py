@@ -202,56 +202,26 @@ def format_comparison_cache_table(
     return table
 
 
-def format_service_stats_table(
+def format_fleet_stats_table(
     stats,
     store_stats=None,
     preloaded: int = 0,
     title: str = "evaluation service",
 ) -> Table:
-    """Render :class:`repro.distributed.ServiceStats` with one row per worker
-    plus, when a persistent store backs the cache, its load/append counters.
+    """Render the evaluation service's :class:`repro.fleet.FleetStats`.
 
-    ``preloaded`` is the number of measurements the cache warm-started from
-    disk (i.e. compiles this whole run never had to do)."""
-    table = Table(headers=["metric", "value"], title=title)
-    table.add_row(["dispatched to workers", stats.dispatched])
-    table.add_row(["completed by workers", stats.completed])
-    table.add_row(["worker errors", stats.errors])
-    table.add_row(["serial batches", stats.serial_batches])
-    table.add_row(["serial requests", stats.serial_requests])
-    for worker_id in sorted(stats.per_worker_completed):
-        table.add_row(
-            [f"worker {worker_id} completed", stats.per_worker_completed[worker_id]]
-        )
-    if store_stats is not None:
-        table.add_row(["store: preloaded entries", preloaded])
-        table.add_row(["store: records loaded", store_stats.records_loaded])
-        table.add_row(["store: records appended", store_stats.appended])
-        table.add_row(["store: segments loaded", store_stats.segments_loaded])
-        table.add_row(["store: segments skipped", store_stats.segments_skipped])
-        table.add_row(["store: corrupt records", store_stats.corrupt_records])
-    return table
-
-
-def format_fleet_stats_table(
-    stats,
-    store_stats=None,
-    preloaded: int = 0,
-    title: str = "fleet evaluation",
-) -> Table:
-    """Render :class:`repro.fleet.FleetStats` as a text table.
-
-    The fleet analogue of :func:`format_service_stats_table`: dispatch and
-    completion totals with one per-worker throughput row each, the
-    robustness counters (workers lost, retries, re-shards, inline
-    fallbacks), and the speculative-prefetch ledger with the derived
-    waits-converted rate.  ``store_stats``/``preloaded`` append the shared
-    persistent store's counters exactly as the local-service table does.
+    Dispatch and completion totals with one per-worker throughput row
+    each, the serial-path counters, the robustness counters (workers lost,
+    retries, re-shards, inline fallbacks), and the speculative-prefetch
+    ledger with the derived waits-converted rate.  When a persistent store
+    backs the cache, ``store_stats``/``preloaded`` append its load/append
+    counters; ``preloaded`` is the number of measurements the cache
+    warm-started from disk (compiles this whole run never had to do).
     """
     table = Table(headers=["metric", "value"], title=title)
-    table.add_row(["dispatched to fleet", stats.dispatched])
+    table.add_row(["dispatched to workers", stats.dispatched])
     table.add_row(["demand dispatches", stats.demand_dispatched])
-    table.add_row(["completed by fleet", stats.completed])
+    table.add_row(["completed by workers", stats.completed])
     table.add_row(["worker errors", stats.errors])
     table.add_row(["serial batches", stats.serial_batches])
     table.add_row(["serial requests", stats.serial_requests])

@@ -1,12 +1,12 @@
 """Speculative prefetch: evaluate the policy's likely next actions early.
 
-While PPO is inside policy inference / the update step, the fleet's
+While PPO is inside policy inference / the update step, the evaluation
 workers are idle.  :class:`SpeculativePrefetcher` fills that window: after
 each rollout chunk is submitted, it peeks at the environment's *upcoming*
 samples (no RNG is consumed — rollout order is untouched), replays the
 policy's deterministic forward pass over their observations, ranks the
-joint action distribution of each sample, and asks the fleet to evaluate
-the top-k most likely actions at low priority.  By the time the rollout
+joint action distribution of each sample, and asks the evaluation
+service to evaluate the top-k most likely actions at low priority.  By the time the rollout
 reaches those samples, the demanded keys resolve as store hits (or join
 the in-flight speculation) instead of paying a dispatch-and-wait.
 
@@ -24,9 +24,10 @@ import numpy as np
 
 
 class SpeculativePrefetcher:
-    """Rank likely next actions and warm the fleet cache with them.
+    """Rank likely next actions and warm the service's cache with them.
 
-    ``top_k``/``horizon`` default from the service's ``prefetch_top_k`` /
+    ``top_k``/``horizon`` default from the
+    :class:`~repro.distributed.EvaluationService`'s ``prefetch_top_k`` /
     ``prefetch_horizon`` knobs; ``horizon`` is how many upcoming samples
     to speculate on per call.  Safe to hold against duck-typed policies
     and environments — anything without the needed surface (``trunk``,
@@ -40,22 +41,17 @@ class SpeculativePrefetcher:
         self.env = env
         self.policy = policy
         self.service = service
-        if top_k is None:
-            top_k = int(getattr(service, "prefetch_top_k", 0) or 0)
-        self.top_k = int(top_k)
+        self.top_k = int(service.prefetch_top_k if top_k is None else top_k)
         if horizon is None:
-            horizon = getattr(service, "prefetch_horizon", None)
+            horizon = service.prefetch_horizon
         self.horizon = int(horizon) if horizon else 16
 
     def prefetch(self) -> int:
         """Issue one round of speculation; returns how many were issued."""
-        if self.top_k <= 0:
+        if self.top_k <= 0 or self.service.workers == 0:
             return 0
-        if getattr(self.service, "workers", 0) == 0:
-            return 0
-        prefetch = getattr(self.service, "prefetch", None)
         peek = getattr(self.env, "peek_upcoming", None)
-        if prefetch is None or peek is None:
+        if peek is None:
             return 0
         if getattr(self.policy, "trunk", None) is None or not hasattr(
             self.policy, "heads_for"
@@ -106,6 +102,15 @@ class SpeculativePrefetcher:
             [np.asarray(sample.observation, dtype=np.float64) for sample in samples]
         )
         hidden = _trunk_forward(self.policy.trunk, observations)
+        embeddings = getattr(self.policy, "task_embeddings", None)
+        if embeddings:
+            # An embedding-conditioned policy's heads read the trunk output
+            # concatenated with the acting task's embedding row (act_batch).
+            row = embeddings[self.policy._resolve_name(task_name)].data
+            hidden = np.concatenate(
+                [hidden, np.broadcast_to(row, (hidden.shape[0], row.shape[-1]))],
+                axis=1,
+            )
         # The act_batch softmax, per factored dimension.
         per_dim = []
         for head in bank.heads:

@@ -1,13 +1,15 @@
-"""Wire protocol of the evaluation fleet: newline-delimited JSON over TCP.
+"""Wire protocol of the evaluation service: newline-delimited JSON.
 
-The fleet speaks the same framing idiom as the serving front end
-(:mod:`repro.serving.schema`): one JSON object per line, ``type`` selects
-the message.  The vocabulary:
+One JSON object per line, ``type`` selects the message.  The same framing
+(:func:`encode_message`, :func:`decode_message` and the capped
+:func:`read_line`) also carries the serving front end's requests, see
+:mod:`repro.serving.schema`.  The evaluation vocabulary:
 
 * ``hello`` / ``welcome`` — the handshake.  The coordinator sends ``hello``
-  with the run's machine description and ``default_symbol_value`` (so every
-  worker measures under exactly the caller's pipeline configuration); the
-  worker answers ``welcome`` with its name.
+  with the protocol version, the run's machine description and
+  ``default_symbol_value`` (so every worker measures under exactly the
+  caller's pipeline configuration); the worker answers ``welcome`` with its
+  name, or ``error`` when it speaks a different protocol version.
 * ``register`` — a worker dialing *in* to a listening coordinator announces
   itself first; the coordinator then proceeds with the normal ``hello``.
 * ``kernel`` / ``task`` — content payloads, shipped at most once per
@@ -22,9 +24,10 @@ the message.  The vocabulary:
 * ``bye`` — orderly shutdown of one connection.
 
 Machine descriptions and task objects are not JSON-able (nested cost-model
-dataclasses, user-defined task classes), so they travel base64-pickled —
-the same objects :class:`repro.distributed.EvaluationService` already
-ships through its process queues.  Reward-store entries reuse the exact
+dataclasses, user-defined task classes), so they travel base64-pickled.
+Kernels travel as plain payload dicts (source text + bindings, see
+:func:`kernel_payload`), never as :class:`LoopKernel` objects with their
+lazily built AST/IR caches.  Reward-store entries reuse the exact
 six-element key layout of :mod:`repro.distributed.store` records.
 """
 
@@ -36,9 +39,17 @@ import pickle
 from typing import List, Tuple
 
 from repro.cache.reward_cache import CachedMeasurement, RewardKey
+from repro.datasets.kernels import LoopKernel
 
 #: Bump when the message vocabulary changes incompatibly.
 PROTOCOL_VERSION = 1
+
+#: Longest accepted line, newline included.  The largest message the test
+#: suite sends is 2,326 bytes (a ``hello`` carrying the pickled machine
+#: model; kernels top out at 833, ``apply`` results at 1,141).  1 MiB
+#: leaves ~450x headroom for long kernel sources and big ``apply`` results
+#: while bounding what one peer can make a reader buffer.
+MAX_LINE_BYTES = 1 << 20
 
 
 class FleetError(Exception):
@@ -46,16 +57,16 @@ class FleetError(Exception):
 
 
 class FleetProtocolError(FleetError):
-    """A malformed or unexpected fleet message."""
+    """A malformed, oversize or unexpected message."""
 
 
 # ---------------------------------------------------------------------------
-# Framing: newline-delimited JSON (the serving idiom)
+# Framing: newline-delimited JSON, one capped line per message
 # ---------------------------------------------------------------------------
 
 
 def encode_message(payload: dict) -> bytes:
-    """One JSON object per line — the fleet's wire format."""
+    """One JSON object per line — the wire format of every TCP edge."""
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -63,10 +74,53 @@ def decode_message(line: bytes) -> dict:
     try:
         payload = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise FleetProtocolError(f"malformed fleet message: {error}") from error
+        raise FleetProtocolError(f"malformed message: {error}") from error
     if not isinstance(payload, dict):
-        raise FleetProtocolError("fleet messages must be JSON objects")
+        raise FleetProtocolError("messages must be JSON objects")
     return payload
+
+
+def read_line(stream) -> bytes:
+    """Read one line of at most :data:`MAX_LINE_BYTES`; ``b""`` at EOF.
+
+    Raises :class:`FleetProtocolError` when no newline arrives within the
+    cap.  The rest of that line is left unread, so the stream has lost its
+    framing and the caller must drop the connection.
+    """
+    line = stream.readline(MAX_LINE_BYTES)
+    if len(line) >= MAX_LINE_BYTES and not line.endswith(b"\n"):
+        raise FleetProtocolError(
+            f"message exceeds the {MAX_LINE_BYTES}-byte line limit"
+        )
+    return line
+
+
+# ---------------------------------------------------------------------------
+# Kernels on the wire
+# ---------------------------------------------------------------------------
+
+
+def kernel_payload(kernel: LoopKernel) -> dict:
+    """The process-portable representation of a kernel."""
+    return {
+        "name": kernel.name,
+        "source": kernel.source,
+        "function_name": kernel.function_name,
+        "suite": kernel.suite,
+        "bindings": dict(kernel.bindings),
+        "description": kernel.description,
+    }
+
+
+def kernel_from_payload(payload: dict) -> LoopKernel:
+    return LoopKernel(
+        name=payload["name"],
+        source=payload["source"],
+        function_name=payload["function_name"],
+        suite=payload.get("suite", "synthetic"),
+        bindings=dict(payload.get("bindings", {})),
+        description=payload.get("description", ""),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +211,10 @@ def hello_message(machine, default_symbol_value: int) -> dict:
 
 def welcome_message(worker: str) -> dict:
     return {"type": "welcome", "worker": worker}
+
+
+def error_message(reason: str) -> dict:
+    return {"type": "error", "error": reason}
 
 
 def register_message(worker: str) -> dict:

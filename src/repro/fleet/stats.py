@@ -1,11 +1,10 @@
-"""Counters for the evaluation fleet.
+"""Counters of the evaluation service.
 
-:class:`FleetStats` is a strict superset of
-:class:`repro.distributed.service.ServiceStats`: the shared fields keep the
-same names so existing reporting (``format_service_stats_table`` callers,
-``as_dict`` consumers) reads a fleet service unchanged, and the fleet-only
-fields (retries, re-shards, prefetch accounting) let reports distinguish a
-fleet run — detection is ``hasattr(stats, "prefetch_issued")``.
+:class:`FleetStats` is the one stats record of
+:class:`repro.distributed.EvaluationService`: dispatch and completion
+totals per worker (local and remote alike), the serial-path counters, the
+robustness counters (workers lost, retries, re-shards, inline fallbacks)
+and the speculative-prefetch ledger.
 
 Prefetch accounting distinguishes three fates for a speculative request:
 
@@ -24,9 +23,8 @@ from typing import Dict
 
 @dataclass
 class FleetStats:
-    """Dispatch, robustness, and prefetch counters for a fleet run."""
+    """Dispatch, robustness, and prefetch counters of one service."""
 
-    # Shared with ServiceStats --------------------------------------------
     dispatched: int = 0
     completed: int = 0
     errors: int = 0
@@ -34,8 +32,6 @@ class FleetStats:
     serial_requests: int = 0
     per_worker_dispatched: Dict[str, int] = field(default_factory=dict)
     per_worker_completed: Dict[str, int] = field(default_factory=dict)
-
-    # Fleet-only ----------------------------------------------------------
     demand_dispatched: int = 0
     retries: int = 0
     reshards: int = 0

@@ -1,14 +1,18 @@
-"""The fleet worker daemon: a TCP reward-measurement server.
+"""The fleet worker daemon: a reward-measurement server.
 
-A :class:`FleetWorker` is the multi-host analogue of the process worker in
-:mod:`repro.distributed.worker`: it hosts its own
+A :class:`FleetWorker` hosts its own
 :class:`~repro.core.pipeline.CompileAndMeasure` pipeline per coordinator
 connection (built from the coordinator's ``hello``, so measurements run
 under exactly the caller's machine model and symbol defaults), keeps
 kernels by content hash and tasks by name — each shipped at most once per
-connection — and answers ``site`` and ``apply`` work with the *same code
-paths* the serial batcher runs, so fleet answers are byte-identical to
-serial ones.
+connection — and answers ``site`` and ``apply`` work through
+:func:`evaluate_work`, the serial path's own recipe, so its answers are
+byte-identical to serial ones.
+
+The same worker serves both kinds of connection the evaluation service
+uses: TCP sessions from remote coordinators (:meth:`FleetWorker.start`,
+:meth:`FleetWorker.dial`) and one end of a ``socketpair`` in a forked
+local worker process (:meth:`FleetWorker.serve`).
 
 The worker holds one worker-local reward cache shared by all connections.
 With ``store_dir`` it is a :class:`~repro.distributed.store.DiskBackedRewardCache`
@@ -18,11 +22,13 @@ segments mean many workers (and the coordinator itself) write the same
 directory safely, and a worker restarted against it comes back warm.
 
 Threading mirrors :class:`repro.serving.server.CompileServer`: one accept
-loop, and per connection a reader (decode + route), an evaluator draining
-a priority queue (demand before speculative prefetch), and a writer
-draining an outbox.  :class:`WorkerFaults` injects the failure modes the
-fault-tolerance tests exercise — abrupt death mid-batch, silent
-heartbeat loss, a torn connection.
+loop, and per connection a reader (decode, validate, route), an evaluator
+draining a priority queue (demand before speculative prefetch), and a
+writer draining an outbox.  Messages that parse but carry missing or
+ill-typed fields are counted in :attr:`FleetWorker.malformed_messages` and
+skipped; an oversize line ends that session only.  :class:`WorkerFaults`
+injects the failure modes the fault-tolerance tests exercise — abrupt
+death mid-batch, silent heartbeat loss, a torn connection.
 """
 
 from __future__ import annotations
@@ -36,15 +42,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.reward_cache import CachedMeasurement, RewardCache
-from repro.distributed.worker import kernel_from_payload
 from repro.fleet.protocol import (
+    PROTOCOL_VERSION,
     FleetError,
     FleetProtocolError,
     b64_to_pickle,
     decode_message,
     encode_entries,
     encode_message,
+    error_message,
+    kernel_from_payload,
     pong_message,
+    read_line,
     register_message,
     result_message,
     welcome_message,
@@ -52,6 +61,29 @@ from repro.fleet.protocol import (
 
 _WORKER_SEQUENCE = [0]
 _WORKER_SEQUENCE_LOCK = threading.Lock()
+
+
+def evaluate_work(
+    pipeline, kernel, task, kind, site_index=None, action=None, decisions=None
+):
+    """Run one unit of reward work exactly as the serial path does.
+
+    ``kind == "site"`` evaluates ``action`` at one decision site and
+    returns its :class:`CachedMeasurement`.  ``kind == "apply"`` runs the
+    whole-kernel application (cached baseline + ``task.apply`` with the
+    ``{site: action}`` map ``decisions``) against a fresh cache and returns
+    every ``(RewardKey, CachedMeasurement)`` entry it produced — precisely
+    this application's measurements, nothing more.
+    """
+    if kind == "apply":
+        local = RewardCache()
+        local.measure_baseline(pipeline, kernel)
+        task.apply(pipeline, kernel, dict(decisions or {}), reward_cache=local)
+        return local.items()
+    measured = task.evaluate(pipeline, kernel, int(site_index), tuple(action))
+    return CachedMeasurement(
+        cycles=measured.cycles, compile_seconds=measured.compile_seconds
+    )
 
 
 def _next_worker_name() -> str:
@@ -152,6 +184,8 @@ class FleetWorker:
         self.tasks_received = 0
         self.evaluations = 0
         self.results_sent = 0
+        #: Parseable messages skipped for missing or ill-typed fields.
+        self.malformed_messages = 0
         self._silent = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -162,9 +196,7 @@ class FleetWorker:
             raise FleetError("fleet worker is not started")
         return self._listener.getsockname()[:2]
 
-    def start(self) -> "FleetWorker":
-        if self._listener is not None:
-            return self
+    def _ensure_cache(self) -> None:
         if self.cache is None:
             if self._store_dir is not None:
                 from repro.distributed.store import DiskBackedRewardCache
@@ -172,6 +204,11 @@ class FleetWorker:
                 self.cache = DiskBackedRewardCache.open(self._store_dir)
             else:
                 self.cache = RewardCache()
+
+    def start(self) -> "FleetWorker":
+        if self._listener is not None:
+            return self
+        self._ensure_cache()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
@@ -210,6 +247,17 @@ class FleetWorker:
         """Abrupt full-worker death: every socket closed, nothing sent."""
         self._silent = True
         self.stop()
+
+    def serve(self, connection: socket.socket) -> None:
+        """Serve one already-connected socket until its session ends.
+
+        The entry point of a local worker process: the evaluation service
+        forks it with one end of a ``socketpair`` and adopts the other.
+        """
+        self._ensure_cache()
+        self._spawn_session(connection)
+        for thread in list(self._threads):
+            thread.join()
 
     def __enter__(self) -> "FleetWorker":
         return self.start()
@@ -265,47 +313,71 @@ class FleetWorker:
     def _read_loop(self, session: _Session) -> None:
         stream = session.connection.makefile("rb")
         try:
-            for line in stream:
+            # read_line raises on an oversize line, ending this session only.
+            for line in iter(lambda: read_line(stream), b""):
                 if not line.strip():
                     continue
                 try:
-                    message = decode_message(line)
-                except FleetProtocolError:
-                    continue
-                kind = message.get("type")
-                if kind == "hello":
-                    self._handle_hello(session, message)
-                elif kind == "kernel":
-                    session.kernels[message["hash"]] = kernel_from_payload(
-                        message["kernel"]
-                    )
-                    self.kernels_received += 1
-                elif kind == "task":
-                    session.tasks[message["name"]] = b64_to_pickle(message["data"])
-                    self.tasks_received += 1
-                elif kind == "work":
-                    session.enqueue_work(message)
-                elif kind == "ping":
-                    session.send(pong_message(message.get("n", 0)))
-                elif kind == "bye":
-                    break
-        except (OSError, ValueError):
-            pass
+                    if not self._handle_message(session, decode_message(line)):
+                        break
+                except (FleetProtocolError, KeyError, TypeError, ValueError,
+                        AttributeError):
+                    self.malformed_messages += 1
+        except (OSError, ValueError, FleetProtocolError):
+            session.tear()
         finally:
             stream.close()
             session.work.put(_Session.STOP)
+            # The writer sends what is queued (e.g. a refusal), then tears.
             session.outbox.put(None)
-            session.tear()
 
-    def _handle_hello(self, session: _Session, message: dict) -> None:
+    def _handle_message(self, session: _Session, message: dict) -> bool:
+        """Route one decoded message; ``False`` ends the session.
+
+        Missing or ill-typed fields raise ``KeyError``/``TypeError``/
+        ``ValueError``, which the reader counts and skips.
+        """
+        kind = message.get("type")
+        if kind == "hello":
+            return self._handle_hello(session, message)
+        if kind == "kernel":
+            kernel = kernel_from_payload(message["kernel"])
+            session.kernels[str(message["hash"])] = kernel
+            self.kernels_received += 1
+        elif kind == "task":
+            task = b64_to_pickle(message["data"])
+            session.tasks[str(message["name"])] = task
+            self.tasks_received += 1
+        elif kind == "work":
+            # The evaluator reports every other bad field as an error
+            # result; the id and priority must be sound to route at all.
+            message["id"] = int(message["id"])
+            message["priority"] = int(message.get("priority", 0))
+            session.enqueue_work(message)
+        elif kind == "ping":
+            session.send(pong_message(int(message.get("n", 0))))
+        elif kind == "bye":
+            return False
+        return True
+
+    def _handle_hello(self, session: _Session, message: dict) -> bool:
         from repro.core.pipeline import CompileAndMeasure
 
+        if message.get("protocol") != PROTOCOL_VERSION:
+            session.send(
+                error_message(
+                    f"protocol {message.get('protocol')!r} refused: "
+                    f"{self.name} speaks protocol {PROTOCOL_VERSION}"
+                )
+            )
+            return False
         machine = b64_to_pickle(message["machine"])
         session.pipeline = CompileAndMeasure(
             machine=machine,
             default_symbol_value=int(message.get("default_symbol_value", 100)),
         )
         session.send(welcome_message(self.name))
+        return True
 
     def _write_loop(self, session: _Session) -> None:
         try:
@@ -324,6 +396,8 @@ class FleetWorker:
                     self._after_result(session)
         except OSError:
             return
+        finally:
+            session.tear()
 
     def _after_result(self, session: _Session) -> None:
         faults = self.faults
@@ -356,7 +430,7 @@ class FleetWorker:
     def _evaluate(self, session: _Session, message: dict) -> dict:
         import traceback
 
-        request_id = int(message.get("id", 0))
+        request_id = message["id"]
         try:
             if session.pipeline is None:
                 raise FleetError("work before hello: no pipeline configured")
@@ -369,28 +443,25 @@ class FleetWorker:
 
                 task = session.tasks[task_name] = get_task(task_name)
             if message.get("kind") == "apply":
-                # Exactly the serial whole-kernel path: cached baseline +
-                # ``task.apply`` against a fresh per-request cache, whose
-                # entries (precisely this application's measurements) ship
-                # back and also warm the worker-local cache.
-                local = RewardCache()
-                local.measure_baseline(pipeline, kernel)
                 decisions = {
                     int(site): tuple(int(value) for value in chosen)
                     for site, chosen in (message.get("decisions") or {}).items()
                 }
-                task.apply(pipeline, kernel, decisions, reward_cache=local)
-                entries = local.items()
+                entries = evaluate_work(
+                    pipeline, kernel, task, "apply", decisions=decisions
+                )
+                # Applications also warm the worker-local cache.
                 with self._cache_lock:
                     for key, measurement in entries:
                         if self.cache.peek(key) is None:
                             self.cache.put(key, measurement)
                 return result_message(request_id, entries=encode_entries(entries))
+            site_index = int(message["site"])
             action = tuple(int(value) for value in message["action"])
             key = self.cache.key_for(
                 kernel,
                 pipeline.machine,
-                int(message["site"]),
+                site_index,
                 default_symbol_value=pipeline.default_symbol_value,
                 action=action,
                 task=task_name,
@@ -398,13 +469,7 @@ class FleetWorker:
             with self._cache_lock:
                 cached = self.cache.peek(key)
             if cached is None:
-                measured = task.evaluate(
-                    pipeline, kernel, int(message["site"]), action
-                )
-                cached = CachedMeasurement(
-                    cycles=measured.cycles,
-                    compile_seconds=measured.compile_seconds,
-                )
+                cached = evaluate_work(pipeline, kernel, task, "site", site_index, action)
                 with self._cache_lock:
                     if self.cache.peek(key) is None:
                         self.cache.put(key, cached)

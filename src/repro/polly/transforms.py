@@ -172,7 +172,12 @@ def tile_loop_nest(
 
 def _loops_fusible(first: Loop, second: Loop) -> bool:
     """Conservative fusion legality: identical iteration ranges and no
-    producer/consumer relationship through memory."""
+    array that one loop writes and the other touches.
+
+    Both directions matter: a second loop that overwrites an array the
+    first one reads (``B[i] = A[i-1]`` then ``A[i] = 0``) would, once
+    fused, feed the first statement values the second already clobbered.
+    """
     if first.step != second.step or first.condition_op != second.condition_op:
         return False
     if first.trip_count is None or first.trip_count != second.trip_count:
@@ -181,11 +186,15 @@ def _loops_fusible(first: Loop, second: Loop) -> bool:
     lower_second = evaluate_expr(second.lower, {})
     if lower_first is None or lower_first != lower_second:
         return False
-    written_by_first = {
-        access.array for access in first.accesses(recursive=True) if access.is_write
-    }
-    touched_by_second = {access.array for access in second.accesses(recursive=True)}
-    return not (written_by_first & touched_by_second)
+    first_accesses = first.accesses(recursive=True)
+    second_accesses = second.accesses(recursive=True)
+    written_by_first = {access.array for access in first_accesses if access.is_write}
+    written_by_second = {access.array for access in second_accesses if access.is_write}
+    touched_by_first = {access.array for access in first_accesses}
+    touched_by_second = {access.array for access in second_accesses}
+    return not (
+        written_by_first & touched_by_second or written_by_second & touched_by_first
+    )
 
 
 def fuse_adjacent_loops(nodes: Sequence[RegionNode]) -> List[RegionNode]:

@@ -17,12 +17,14 @@ import socket
 import threading
 from typing import Dict, List, Optional, Sequence
 
+from repro.fleet.protocol import FleetProtocolError
 from repro.serving.schema import (
     CompileRequest,
     CompileResponse,
     ServingError,
     decode_message,
     encode_message,
+    read_line,
 )
 
 
@@ -103,10 +105,13 @@ class TCPClient:
         return request
 
     def _read_response(self) -> CompileResponse:
-        line = self._file.readline()
-        if not line:
-            raise ServingError("server closed the connection")
-        return CompileResponse.from_payload(decode_message(line))
+        try:
+            line = read_line(self._file)
+            if not line:
+                raise ServingError("server closed the connection")
+            return CompileResponse.from_payload(decode_message(line))
+        except FleetProtocolError as error:
+            raise ServingError(str(error)) from error
 
     def optimize(self, request) -> CompileResponse:
         return self.optimize_many([request])[0]

@@ -10,15 +10,25 @@ in-flight kernel, and its end-to-end latency).
 Both sides serialize to plain ``dict`` payloads (``to_payload`` /
 ``from_payload``) so the TCP front end can speak newline-delimited JSON and
 the in-process client can skip serialization entirely — the payloads are
-the wire format, the dataclasses are the API.
+the wire format, the dataclasses are the API.  The line framing itself is
+the evaluation service's (:mod:`repro.fleet.protocol`): one capped
+JSON line per message.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+# The serving front end speaks the evaluation service's framing; these are
+# re-exported so ``repro.serving.schema`` stays the serving wire module.
+from repro.fleet.protocol import (  # noqa: F401
+    MAX_LINE_BYTES,
+    decode_message,
+    encode_message,
+    read_line,
+)
 
 
 class ServingError(Exception):
@@ -185,23 +195,3 @@ class CompileResponse:
             batch_size=int(payload.get("batch_size", 1)),
             error=payload.get("error"),
         )
-
-
-# ---------------------------------------------------------------------------
-# Wire format: newline-delimited JSON
-# ---------------------------------------------------------------------------
-
-
-def encode_message(payload: dict) -> bytes:
-    """One JSON object per line — the TCP front end's wire format."""
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def decode_message(line: bytes) -> dict:
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ServingError(f"malformed serving message: {error}") from error
-    if not isinstance(payload, dict):
-        raise ServingError("serving messages must be JSON objects")
-    return payload

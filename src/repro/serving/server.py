@@ -21,12 +21,14 @@ import socket
 import threading
 from typing import List, Optional, Tuple
 
+from repro.fleet.protocol import FleetProtocolError
 from repro.serving.schema import (
     CompileRequest,
     CompileResponse,
     ServingError,
     decode_message,
     encode_message,
+    read_line,
 )
 
 
@@ -146,18 +148,22 @@ class CompileServer:
     def _read_loop(self, connection: socket.socket, outbox: "_queue.Queue") -> None:
         stream = connection.makefile("rb")
         try:
-            for line in stream:
+            for line in iter(lambda: read_line(stream), b""):
                 if not line.strip():
                     continue
                 try:
                     request = CompileRequest.from_payload(decode_message(line))
                     outbox.put((request.request_id, self.service.submit(request)))
-                except ServingError as error:
+                except (ServingError, FleetProtocolError) as error:
                     # Malformed request / closed or full service: answer on
                     # the wire instead of killing the connection.
                     outbox.put(
                         (None, CompileResponse(error=str(error)))
                     )
+        except FleetProtocolError as error:
+            # An oversize line: answer it, then drop the connection, whose
+            # framing is lost with the unread rest of that line.
+            outbox.put((None, CompileResponse(error=str(error))))
         except (OSError, ValueError):
             pass
         finally:

@@ -18,7 +18,7 @@ from repro.cache.reward_cache import RewardCache
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.distributed import EvaluationService
-from repro.fleet import FleetEvaluationService, FleetWorker, WorkerFaults
+from repro.fleet import FleetWorker, WorkerFaults
 
 ADD_SOURCE = """
 int a[256], b[256];
@@ -99,21 +99,22 @@ def start_workers(
 
 @contextmanager
 def fleet_service(
-    workers: Sequence[FleetWorker],
+    fleet: Sequence[FleetWorker],
     cache: Optional[RewardCache] = None,
     **knobs,
-) -> Iterator[FleetEvaluationService]:
+) -> Iterator[EvaluationService]:
     """Dial an already-started fleet and close the service afterwards.
 
     Short heartbeats by default so loss-detection tests run in seconds;
-    pass ``heartbeat_timeout``/``heartbeat_interval`` to override.
+    pass ``heartbeat_timeout``/``heartbeat_interval`` to override, and
+    ``workers`` to add local worker processes to the same shard set.
     """
     knobs.setdefault("heartbeat_interval", 0.1)
     knobs.setdefault("heartbeat_timeout", 2.0)
-    service = FleetEvaluationService.connect(
+    service = EvaluationService(
         CompileAndMeasure(),
         cache if cache is not None else RewardCache(),
-        addresses=[worker_address(w) for w in workers],
+        addresses=[worker_address(w) for w in fleet],
         **knobs,
     )
     try:

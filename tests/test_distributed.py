@@ -274,7 +274,7 @@ class TestEvaluationService:
             assert sum(service.stats.per_worker_completed.values()) == len(requests)
 
     def test_unrolling_payloads_shard_identically_to_serial(self):
-        # One-dimensional task actions travel the same WorkRequest payload
+        # One-dimensional task actions travel the same work-message payload
         # path as (VF, IF) pairs: workers resolve "unrolling" from the
         # registry and must answer byte-identically to the serial batcher.
         from repro.tasks import get_task
@@ -294,6 +294,45 @@ class TestEvaluationService:
         with EvaluationService(CompileAndMeasure(), workers=2) as service:
             parallel = outcome_tuples(service.evaluate(requests, task=task))
         assert parallel == serial
+
+    @pytest.mark.parametrize(
+        "task_name", ["vectorization", "polly-tiling", "unrolling"]
+    )
+    def test_killed_local_worker_is_resharded_byte_identically(self, task_name):
+        import signal
+
+        from repro.tasks import get_task
+
+        task = get_task(task_name)
+        actions = [()]
+        for menu in task.menus:
+            actions = [prefix + (choice,) for prefix in actions for choice in menu]
+        kernels = [add_kernel(), scale_kernel()] + [
+            LoopKernel(
+                name=f"scale{size}",
+                source=SCALE_SOURCE.replace("512", str(size)),
+                function_name="scale",
+            )
+            for size in (64, 128, 256)
+        ]
+        requests = [(kernel, 0, action) for kernel in kernels for action in actions]
+        serial = outcome_tuples(
+            EvaluationService(CompileAndMeasure(), workers=0).evaluate(
+                requests, task=task
+            )
+        )
+        with EvaluationService(CompileAndMeasure(), workers=2) as service:
+            # Stopped first so the victim cannot answer before it dies:
+            # its whole share of the batch is in flight when it is killed.
+            victim = service.local_pids[0]
+            os.kill(victim, signal.SIGSTOP)
+            future = service.submit(requests, task=task)
+            assert service.stats.per_worker_dispatched.get("local-0", 0) > 0
+            os.kill(victim, signal.SIGKILL)
+            assert outcome_tuples(future.result()) == serial
+            assert service.stats.workers_lost == 1
+            assert service.stats.reshards > 0
+            assert service.workers == 1
 
     def test_second_evaluation_is_all_cache_hits(self):
         requests = grid_requests(add_kernel())

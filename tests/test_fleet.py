@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from fleet_utils import (
+    SCALE_SOURCE,
     add_kernel,
     fleet_service,
     grid_requests,
@@ -17,22 +20,26 @@ from fleet_utils import (
 )
 from repro.cache.reward_cache import CachedMeasurement, RewardCache, RewardKey
 from repro.core.pipeline import CompileAndMeasure
+from repro.datasets.kernels import LoopKernel
 from repro.distributed import DiskBackedRewardCache, EvaluationService
 from repro.evaluation.report import (
     format_cache_stats_table,
     format_fleet_stats_table,
 )
 from repro.fleet import (
-    FleetEvaluationService,
     FleetProtocolError,
     FleetStats,
     WorkerFaults,
 )
 from repro.fleet.protocol import (
+    MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
     decode_entries,
     decode_message,
     encode_entries,
     encode_message,
+    hello_message,
+    read_line,
     work_message,
 )
 from repro.tasks import get_task
@@ -44,6 +51,12 @@ from repro.tasks import get_task
 
 
 class TestFleetProtocol:
+    @staticmethod
+    def _hello(protocol=PROTOCOL_VERSION) -> dict:
+        message = hello_message(CompileAndMeasure().machine, 256)
+        message["protocol"] = protocol
+        return message
+
     def test_message_round_trip(self):
         message = work_message(7, "site", "deadbeef" * 5, 0, (4, 2), "vectorization")
         assert decode_message(encode_message(message)) == message
@@ -64,6 +77,64 @@ class TestFleetProtocol:
         entries = [(key, CachedMeasurement(cycles=123.5, compile_seconds=0.25))]
         decoded = decode_entries(encode_entries(entries))
         assert decoded == entries
+
+    def test_oversize_line_closes_only_that_session(self):
+        with start_workers(1) as (worker,):
+            with socket.create_connection(worker.address, timeout=10) as bad:
+                try:
+                    bad.sendall(b"x" * (MAX_LINE_BYTES + 1))
+                except OSError:
+                    pass  # the worker may drop us before the tail lands
+                try:
+                    assert bad.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            with socket.create_connection(worker.address, timeout=10) as good:
+                good.sendall(encode_message(self._hello()))
+                reply = decode_message(read_line(good.makefile("rb")))
+            assert reply == {"type": "welcome", "worker": worker.name}
+
+    def test_mismatched_protocol_is_refused_and_skipped(self, monkeypatch):
+        import repro.fleet.protocol as protocol
+
+        with start_workers(1) as (worker,):
+            with socket.create_connection(worker.address, timeout=10) as peer:
+                peer.sendall(encode_message(self._hello(PROTOCOL_VERSION + 1)))
+                reply = decode_message(read_line(peer.makefile("rb")))
+            assert reply["type"] == "error"
+            assert "protocol" in reply["error"]
+            # This process's coordinator now announces another version.
+            monkeypatch.setattr(protocol, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+            service = EvaluationService(
+                CompileAndMeasure(),
+                addresses=[worker_address(worker)],
+                connect_timeout=2.0,
+            )
+            monkeypatch.undo()
+            try:
+                assert service.workers == 0  # skipped as unreachable
+                requests = grid_requests(add_kernel())
+                assert outcome_tuples(service.evaluate(requests)) == (
+                    serial_outcomes(requests)
+                )
+            finally:
+                service.close()
+
+    def test_ill_typed_messages_are_counted_and_skipped(self):
+        with start_workers(1) as (worker,):
+            with socket.create_connection(worker.address, timeout=10) as peer:
+                for message in (
+                    {"type": "kernel"},
+                    {"type": "task", "name": "t", "data": 5},
+                    {"type": "work", "id": [1]},
+                    {"type": "kernel", "hash": "h", "kernel": []},
+                ):
+                    peer.sendall(encode_message(message))
+                # The session survives: the handshake still completes.
+                peer.sendall(encode_message(self._hello()))
+                reply = decode_message(read_line(peer.makefile("rb")))
+            assert reply["type"] == "welcome"
+            assert worker.malformed_messages == 4
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +160,23 @@ class TestFleetSharding:
         serial = serial_outcomes(requests, task=task)
         with start_workers(2) as workers, fleet_service(workers) as service:
             assert outcome_tuples(service.evaluate(requests, task=task)) == serial
+
+    def test_local_and_remote_workers_share_one_shard_set(self):
+        kernels = [add_kernel(), scale_kernel()] + [
+            LoopKernel(
+                name=f"scale{size}",
+                source=SCALE_SOURCE.replace("512", str(size)),
+                function_name="scale",
+            )
+            for size in (64, 128, 256, 1024)
+        ]
+        requests = [r for kernel in kernels for r in grid_requests(kernel, ifs=(1,))]
+        serial = serial_outcomes(requests)
+        with start_workers(1) as (remote,), fleet_service([remote], workers=1) as service:
+            assert service.workers == 2
+            assert outcome_tuples(service.evaluate(requests)) == serial
+            assert set(service.stats.per_worker_completed) == {"local-0", remote.name}
+            assert service.stats.completed == len(requests)
 
     def test_kernel_payload_ships_once_per_worker(self):
         with start_workers(2) as workers, fleet_service(workers) as service:
@@ -192,8 +280,8 @@ class TestFleetFaults:
                 assert outcome_tuples(service.evaluate(requests)) == serial
                 assert service.stats.workers_lost == 1
 
-    def test_connect_degrades_to_local_service_when_unreachable(self):
-        service = FleetEvaluationService.connect(
+    def test_unreachable_addresses_degrade_to_serial_service(self):
+        service = EvaluationService(
             CompileAndMeasure(),
             RewardCache(),
             addresses=["127.0.0.1:9"],  # discard port: nothing listens
@@ -412,7 +500,7 @@ class TestFleetReports:
                 time.sleep(0.05)
                 deadline -= 1
             assert coordinator.live_workers() == [worker.name]
-            service = FleetEvaluationService(
+            service = EvaluationService(
                 pipeline, RewardCache(), coordinator=coordinator
             )
             requests = grid_requests(add_kernel())

@@ -188,6 +188,19 @@ class TestTransforms:
         loops = [node for node in fused if hasattr(node, "var")]
         assert len(loops) == 2
 
+    def test_fusion_refused_when_second_loop_overwrites_first_loops_input(self):
+        # Fused, iteration i would read A[i-1] after iteration i-1 of the
+        # second statement already zeroed it: an anti-dependence the
+        # first-writes-only check missed.
+        ir = _ir(
+            "float A[256], B[256];\nvoid f() {"
+            " for (int i = 1; i < 256; i++) B[i] = A[i-1];"
+            " for (int i = 1; i < 256; i++) A[i] = 0.0f; }"
+        )
+        fused = fuse_adjacent_loops(ir.body)
+        loops = [node for node in fused if hasattr(node, "var")]
+        assert len(loops) == 2
+
     def test_fusion_refused_for_different_trip_counts(self):
         ir = _ir(
             "float a[256], b[128];\nvoid f() {"

@@ -345,6 +345,23 @@ class TestClientsAndStats:
                     socket.IPPROTO_TCP, socket.TCP_NODELAY
                 )
 
+    def test_oversize_line_gets_error_reply_and_server_keeps_serving(
+        self, trained
+    ):
+        from repro.serving.schema import MAX_LINE_BYTES, decode_message
+
+        service = fresh_service(trained, max_batch_size=4)
+        with CompileServer(service) as server:
+            with socket.create_connection(server.address, timeout=30) as raw:
+                try:
+                    raw.sendall(b"x" * (MAX_LINE_BYTES + 1))
+                except OSError:
+                    pass  # the server may drop us before the tail lands
+                reply = raw.makefile("rb").readline()
+            assert "line limit" in decode_message(reply)["error"]
+            with TCPClient.connect(server.address) as client:
+                assert client.optimize(CompileRequest(source=STREAM_SOURCE)).ok
+
     def test_stats_report_renders_tier_table(self, trained):
         service = fresh_service(trained, slo_ms=10_000.0)
         with service:
