@@ -182,8 +182,6 @@ class DecisionTreeAgent(VectorizationAgent):
 
     def __init__(
         self,
-        vf_values: Optional[Sequence[int]] = None,
-        if_values: Optional[Sequence[int]] = None,
         max_depth: int = 8,
         seed: int = 0,
         task=None,
@@ -192,27 +190,14 @@ class DecisionTreeAgent(VectorizationAgent):
         from repro.tasks import resolve_task
 
         self.task = resolve_task(task)
-        menus = list(self.task.menus)
-        if vf_values is not None:
-            menus[0] = tuple(vf_values)
-        if if_values is not None:
-            menus[1] = tuple(if_values)
-        self.menus: Tuple[Tuple[int, ...], ...] = tuple(tuple(m) for m in menus)
+        self.menus: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(m) for m in self.task.menus
+        )
         # The space owns the (tested, tie-break-pinned) flatten/unflatten
         # between action tuples and the tree's class labels.
         self._space = DiscreteFactorSpace(menus=self.menus)
         self.tree = DecisionTree(max_depth=max_depth, seed=seed)
         self._fitted = False
-
-    @property
-    def vf_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the first menu."""
-        return self.menus[0]
-
-    @property
-    def if_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the second menu."""
-        return self.menus[1]
 
     def _label_of(self, *action) -> int:
         return self._space.flatten_action(*action)

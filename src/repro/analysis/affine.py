@@ -52,9 +52,6 @@ class AffineForm:
     def is_constant(self) -> bool:
         return self.is_affine and not self.coefficients and not self.symbols
 
-    def depends_on(self, var: str) -> bool:
-        return self.coefficient(var) != 0
-
     # -- arithmetic helpers used by the analyser -------------------------------
 
     def add(self, other: "AffineForm", sign: int = 1) -> "AffineForm":
@@ -191,14 +188,6 @@ class AccessPattern:
         if self.stride_elements is None:
             return None
         return self.stride_elements * self.element_bytes
-
-    @property
-    def is_contiguous(self) -> bool:
-        return self.kind == "contiguous"
-
-    @property
-    def is_gather(self) -> bool:
-        return self.kind == "gather"
 
 
 def classify_access(

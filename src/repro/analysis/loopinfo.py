@@ -112,10 +112,6 @@ class LoopAnalysis:
         return sum(1 for p in self.access_patterns if p.kind == "gather")
 
     @property
-    def invariant_accesses(self) -> int:
-        return sum(1 for p in self.access_patterns if p.kind == "invariant")
-
-    @property
     def is_vectorizable(self) -> bool:
         """Whether *any* VF > 1 is legal for this loop."""
         if self.loop.has_early_exit or self.loop.has_calls:

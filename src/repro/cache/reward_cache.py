@@ -18,9 +18,6 @@ Since the task redesign a key's action part is a *generic tuple* tagged
 with the owning :class:`repro.tasks.OptimizationTask` name — ``(vf, if)``
 for vectorization, ``(tile, fuse)`` for Polly tiling — so one cache (and
 one persistent store) serves every registered task without collisions.
-The legacy two-int API (``measure(pipeline, kernel, loop, vf, interleave)``,
-``key_for(..., vf, interleave)``) is kept as a shim over the vectorization
-task.
 
 Rewards themselves are *derived* from cached measurements by each consumer
 (the environment applies its own compile-time penalty rule), so one cache
@@ -56,7 +53,7 @@ WHOLE_FUNCTION_PRAGMAS = -2
 #: once); the key's action part flattens the whole decision map.
 WHOLE_FUNCTION_APPLICATION = -3
 
-#: Task tag for legacy (VF, IF) keys — the vectorization task's name.
+#: Default task tag of a key — the vectorization task's name.
 VECTORIZATION_TASK = "vectorization"
 #: Task tag for whole-function measurements, which are task-independent
 #: (the same ``clang -O3`` baseline serves every task on a kernel).
@@ -80,7 +77,7 @@ def machine_fingerprint(machine: "MachineDescription") -> str:
 
 
 def _resolve_default_task() -> "OptimizationTask":
-    """The vectorization task the legacy two-int API resolves to."""
+    """The default (vectorization) task of a batcher built without one."""
     from repro.tasks import resolve_task
 
     return resolve_task(None)
@@ -96,10 +93,6 @@ class RewardKey:
     because the simulator falls back to it for symbolic loop bounds missing
     from the bindings — pipelines configured differently must not share
     entries.
-
-    The legacy constructor shape ``RewardKey(kh, mh, loop, vf, interleave)``
-    (positional or by ``vf=``/``interleave=`` keyword) still works and tags
-    the key with the vectorization task.
     """
 
     kernel_hash: str
@@ -114,36 +107,19 @@ class RewardKey:
         kernel_hash: str,
         machine_hash: str,
         loop_index: int,
-        vf: Optional[int] = None,
-        interleave: Optional[int] = None,
-        default_symbol_value: int = 256,
-        action: Optional[Tuple[int, ...]] = None,
+        action: Tuple[int, ...],
         task: str = VECTORIZATION_TASK,
+        default_symbol_value: int = 256,
     ):
-        if action is None:
-            if vf is None or interleave is None:
-                raise TypeError(
-                    "RewardKey needs either action=(...) or vf/interleave"
-                )
-            action = (int(vf), int(interleave))
-        elif vf is not None or interleave is not None:
-            raise TypeError("pass either action or vf/interleave, not both")
-        object.__setattr__(self, "kernel_hash", kernel_hash)
-        object.__setattr__(self, "machine_hash", machine_hash)
-        object.__setattr__(self, "loop_index", int(loop_index))
-        object.__setattr__(self, "action", tuple(int(v) for v in action))
-        object.__setattr__(self, "task", str(task))
-        object.__setattr__(self, "default_symbol_value", int(default_symbol_value))
-
-    @property
-    def vf(self) -> int:
-        """Legacy alias for the first action component."""
-        return self.action[0]
-
-    @property
-    def interleave(self) -> int:
-        """Legacy alias for the second action component."""
-        return self.action[1]
+        # Plain ints and tuples whatever the caller passed (numpy scalars,
+        # lists), so equal keys hash alike and serialise to JSON.
+        setattr_ = object.__setattr__
+        setattr_(self, "kernel_hash", kernel_hash)
+        setattr_(self, "machine_hash", machine_hash)
+        setattr_(self, "loop_index", int(loop_index))
+        setattr_(self, "action", tuple(int(v) for v in action))
+        setattr_(self, "task", str(task))
+        setattr_(self, "default_symbol_value", int(default_symbol_value))
 
 
 @dataclass
@@ -246,30 +222,14 @@ class RewardCache:
         kernel: "LoopKernel",
         machine: "MachineDescription",
         loop_index: int,
-        vf=None,
-        interleave: Optional[int] = None,
-        default_symbol_value: int = 256,
-        action: Optional[Tuple[int, ...]] = None,
+        action: Tuple[int, ...],
         task: str = VECTORIZATION_TASK,
+        default_symbol_value: int = 256,
     ) -> RewardKey:
-        """Build the cache key for one measurement.
-
-        Either pass ``action=(...)`` (plus ``task=``) or the legacy
-        ``vf, interleave`` pair, which is shorthand for the vectorization
-        task's two-dimensional action.
-        """
+        """Build the cache key for one measurement of ``task``'s ``action``."""
         kernel_hash, machine_hash = self._fingerprints(kernel, machine)
-        if action is None and interleave is None and isinstance(vf, (tuple, list)):
-            action, vf = tuple(vf), None
         return RewardKey(
-            kernel_hash,
-            machine_hash,
-            int(loop_index),
-            vf=vf,
-            interleave=interleave,
-            default_symbol_value=int(default_symbol_value),
-            action=action,
-            task=task,
+            kernel_hash, machine_hash, loop_index, action, task, default_symbol_value
         )
 
     # -- lookups ------------------------------------------------------------
@@ -322,33 +282,6 @@ class RewardCache:
         self.put(key, entry)
         return entry, False
 
-    def measure(
-        self,
-        pipeline: "CompileAndMeasure",
-        kernel: "LoopKernel",
-        loop_index: int,
-        vf: int,
-        interleave: int,
-    ) -> Tuple[CachedMeasurement, bool]:
-        """Cached ``measure_with_factors``; returns (measurement, was_hit).
-
-        Legacy vectorization shorthand for :meth:`measure_action`.
-        """
-        key = self.key_for(
-            kernel,
-            pipeline.machine,
-            loop_index,
-            vf,
-            interleave,
-            default_symbol_value=pipeline.default_symbol_value,
-        )
-        return self._measure_cached(
-            key,
-            lambda: pipeline.measure_with_factors(
-                kernel, {loop_index: (vf, interleave)}
-            ),
-        )
-
     def measure_action(
         self,
         pipeline: "CompileAndMeasure",
@@ -382,20 +315,16 @@ class RewardCache:
         """Cached full-application measurement of one task decision map.
 
         ``compute`` runs the task's own transform-and-measure; the key
-        flattens the whole ``{site: action}`` map (sorted by site) into the
-        action tuple, so a repeat run applying identical decisions to an
-        unchanged kernel is a lookup, not a simulation.
+        flattens the whole decision map (:func:`flatten_decisions`), so a
+        repeat run applying identical decisions to an unchanged kernel is a
+        lookup, not a simulation.
         """
-        flattened: List[int] = []
-        for site_index in sorted(decisions):
-            flattened.append(int(site_index))
-            flattened.extend(int(value) for value in decisions[site_index])
         key = self.key_for(
             kernel,
             pipeline.machine,
             WHOLE_FUNCTION_APPLICATION,
             default_symbol_value=pipeline.default_symbol_value,
-            action=tuple(flattened),
+            action=flatten_decisions(decisions),
             task=task.name,
         )
         return self._measure_cached(key, compute)
@@ -456,33 +385,36 @@ class BatchOutcome:
     was_cached: bool
 
 
-def normalize_requests(requests) -> List[Tuple["LoopKernel", int, Tuple[int, ...]]]:
-    """Normalise reward requests to ``(kernel, site_index, action)`` triples.
+def flatten_decisions(decisions) -> Tuple[int, ...]:
+    """The action part of a whole-application key: the ``{site: action}``
+    map flattened to ``(site, *action, site, *action, ...)`` sorted by site."""
+    flattened: List[int] = []
+    for site_index in sorted(decisions):
+        flattened.append(int(site_index))
+        flattened.extend(int(value) for value in decisions[site_index])
+    return tuple(flattened)
 
-    Accepts both the legacy 4-tuple ``(kernel, loop_index, vf, interleave)``
-    and the generic 3-tuple ``(kernel, site_index, action_tuple)``.
-    """
+
+def normalize_requests(requests) -> List[Tuple["LoopKernel", int, Tuple[int, ...]]]:
+    """Normalise ``(kernel, site_index, action)`` reward requests to plain ints."""
     normalized = []
     for request in requests:
-        if len(request) == 4:
-            kernel, site_index, vf, interleave = request
-            action: Tuple[int, ...] = (int(vf), int(interleave))
-        elif len(request) == 3:
-            kernel, site_index, action = request
-            action = tuple(int(value) for value in action)
-        else:
+        if len(request) != 3:
             raise ValueError(
-                "reward requests are (kernel, site, action) or the legacy "
-                f"(kernel, loop, vf, interleave); got a {len(request)}-tuple"
+                "reward requests are (kernel, site, action) triples; got a "
+                f"{len(request)}-tuple"
             )
-        normalized.append((kernel, int(site_index), action))
+        kernel, site_index, action = request
+        normalized.append(
+            (kernel, int(site_index), tuple(int(value) for value in action))
+        )
     return normalized
 
 
 class EvaluationBatcher:
     """Deduplicating batch front-end over a :class:`RewardCache`.
 
-    ``add``/``add_action`` enqueue a request and return a ticket; ``flush``
+    ``add_action`` enqueues a request and return a ticket; ``flush``
     evaluates the unique cache misses (one pipeline call each, through the
     configured task), fills the cache, and returns outcomes indexed by
     ticket.  Duplicate requests within a batch cost one evaluation total and
@@ -502,12 +434,6 @@ class EvaluationBatcher:
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def add(
-        self, kernel: "LoopKernel", loop_index: int, vf: int, interleave: int
-    ) -> int:
-        """Legacy vectorization shorthand for :meth:`add_action`."""
-        return self.add_action(kernel, loop_index, (int(vf), int(interleave)))
 
     def add_action(
         self, kernel: "LoopKernel", site_index: int, action: Tuple[int, ...]
@@ -586,9 +512,8 @@ def evaluate_requests(
     workers / persistent store), a plain :class:`EvaluationBatcher`
     otherwise.  The single front door every batched consumer shares.
 
-    Requests are ``(kernel, site_index, action)`` triples or the legacy
-    ``(kernel, loop_index, vf, interleave)`` 4-tuples; ``task`` defaults to
-    the vectorization task.
+    Requests are ``(kernel, site_index, action)`` triples; ``task`` defaults
+    to the vectorization task.
 
     A service measuring under a different machine model (or writing to a
     different cache) than the caller would silently mix inconsistent

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.frontend import ast, parse_source
+from repro.frontend import ast
 from repro.frontend.printer import print_stmt
 
 
@@ -31,22 +31,12 @@ class ExtractedLoop:
     nest_depth: int
     source_text: str = ""
 
-    @property
-    def is_nested(self) -> bool:
-        return self.nest_depth > 1
-
 
 class LoopExtractor:
     """Finds every innermost loop of every function in a translation unit."""
 
     def __init__(self, include_while_loops: bool = True):
         self.include_while_loops = include_while_loops
-
-    def extract_from_source(
-        self, source: str, filename: str = "<source>"
-    ) -> List[ExtractedLoop]:
-        unit = parse_source(source, filename=filename)
-        return self.extract_from_unit(unit)
 
     def extract_from_unit(self, unit: ast.TranslationUnit) -> List[ExtractedLoop]:
         extracted: List[ExtractedLoop] = []

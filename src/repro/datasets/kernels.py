@@ -84,11 +84,6 @@ class LoopKernel:
             )
         return self._ir_cache
 
-    def invalidate(self) -> None:
-        """Drop cached ASTs/IR (used after the source text is rewritten)."""
-        self._ast_cache = None
-        self._ir_cache = None
-
     def innermost_loop_count(self) -> int:
         return len(self.lower().innermost_loops())
 

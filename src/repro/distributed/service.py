@@ -56,6 +56,7 @@ from repro.cache.reward_cache import (
     EvaluationBatcher,
     RewardCache,
     RewardKey,
+    flatten_decisions,
     normalize_requests,
 )
 from repro.distributed.config import EvaluationServiceConfig
@@ -75,8 +76,7 @@ if TYPE_CHECKING:
     from repro.core.pipeline import CompileAndMeasure
     from repro.tasks.base import OptimizationTask
 
-#: One reward query: the generic (kernel, site index, action tuple) triple
-#: or the legacy (kernel, innermost-loop index, VF, IF) 4-tuple.
+#: One reward query: a (kernel, site index, action tuple) triple.
 EvaluationRequest = Tuple
 
 
@@ -318,8 +318,8 @@ class EvaluationService:
     ) -> EvaluationFuture:
         """Enqueue a batch of reward queries and return a future.
 
-        ``task`` is the optimization task the actions belong to (the
-        vectorization default covers the legacy 4-tuple requests).  With
+        ``task`` is the optimization task the actions belong to (default:
+        vectorization).  With
         live workers the call returns right after dispatching the unique
         misses; serially the batch is evaluated before returning and the
         future is already done.
@@ -536,11 +536,8 @@ class EvaluationService:
         flags: List[bool] = []
         outstanding: set = set()
         for kernel, decisions in jobs:
-            flattened: List[int] = []
-            for site_index in sorted(decisions):
-                flattened.append(int(site_index))
-                flattened.extend(int(value) for value in decisions[site_index])
-            key = self._key(kernel, WHOLE_FUNCTION_APPLICATION, tuple(flattened), task)
+            flattened = flatten_decisions(decisions)
+            key = self._key(kernel, WHOLE_FUNCTION_APPLICATION, flattened, task)
             if key in self._applied:
                 flags.append(False)
                 continue
@@ -549,7 +546,7 @@ class EvaluationService:
                 key=key,
                 kernel=kernel,
                 site_index=WHOLE_FUNCTION_APPLICATION,
-                action=tuple(flattened),
+                action=flattened,
                 task=task,
                 kind="apply",
                 decisions={

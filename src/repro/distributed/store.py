@@ -255,12 +255,6 @@ class PersistentRewardStore:
             self._handle.flush()
             self._unflushed = 0
 
-    def sync(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._unflushed = 0
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.flush()

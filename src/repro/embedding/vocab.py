@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.embedding.ast_paths import PathContext
 from repro.frontend import ast
@@ -35,9 +35,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         """Index of ``token`` (0, the UNK index, when unknown)."""
         return self.token_to_index.get(token, 0)
-
-    def lookup_many(self, tokens: Iterable[str]) -> List[int]:
-        return [self.lookup(token) for token in tokens]
 
     @staticmethod
     def from_counts(counts: Counter, max_size: Optional[int] = None,

@@ -186,10 +186,6 @@ class SplitComparison:
     def sides(self) -> "OrderedDict[str, TaskComparison]":
         return OrderedDict([("train", self.train), ("test", self.test)])
 
-    def generalization_gap(self, method: str) -> float:
-        """``train geomean - test geomean`` for one method (0 is ideal)."""
-        return self.train.geomean(method) - self.test.geomean(method)
-
 
 @dataclass
 class GeneralizationMatrix:
@@ -430,30 +426,6 @@ class ComparisonRunner:
         comparison.cache_hits = self.reward_cache.stats.hits - hits_before
         comparison.cache_misses = self.reward_cache.stats.misses - misses_before
         return comparison
-
-    def run_split(
-        self,
-        agents: Mapping[str, VectorizationAgent],
-        kernels: Sequence[LoopKernel],
-        split: KernelSplit,
-        training_kernel_names: Optional[Sequence[str]] = None,
-    ) -> SplitComparison:
-        """:meth:`run` on both sides of a train/test kernel split.
-
-        When the caller knows which kernels its agents actually trained
-        on, passing ``training_kernel_names`` re-checks the split against
-        them — a "test" side containing training kernels would report
-        memorization as generalization.
-        """
-        if training_kernel_names is not None:
-            split.assert_no_leakage(training_kernel_names)
-        train_kernels, test_kernels = split.partition(kernels)
-        return SplitComparison(
-            task=self.task.name,
-            split=split,
-            train=self.run(agents, train_kernels),
-            test=self.run(agents, test_kernels),
-        )
 
 
 @dataclass

@@ -141,12 +141,6 @@ class FigureCurvesResult:
 
     experiments: List[ExperimentResult]
 
-    def reward_curves(self) -> Dict[str, List[float]]:
-        return {e.name: e.history.reward_curve() for e in self.experiments}
-
-    def loss_curves(self) -> Dict[str, List[float]]:
-        return {e.name: e.history.loss_curve() for e in self.experiments}
-
     def final_rewards(self) -> Dict[str, float]:
         return {e.name: e.history.final_reward_mean for e in self.experiments}
 

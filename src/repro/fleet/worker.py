@@ -242,6 +242,9 @@ class FleetWorker:
             # die() is called from a session's own evaluator thread.
             if thread is not current:
                 thread.join(timeout=5.0)
+        if self._store_dir is not None and self.cache is not None:
+            # Flush and close this worker's store segment (idempotent).
+            self.cache.close()
 
     def die(self) -> None:
         """Abrupt full-worker death: every socket closed, nothing sent."""

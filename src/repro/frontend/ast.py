@@ -439,12 +439,6 @@ class TranslationUnit(Node):
                 return function
         return None
 
-    def find_global(self, name: str) -> Optional[VarDecl]:
-        for decl in self.globals:
-            if decl.name == name:
-                return decl
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Helpers

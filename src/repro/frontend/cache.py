@@ -17,26 +17,18 @@ with an explicit entry cap (LRU eviction) and hit/miss/eviction stats:
     cache = frontend_cache()
     unit = cache.parse(source_text, filename="kernel.c")
     cache.stats.as_dict()     # {"hits": ..., "misses": ..., ...}
-    cache.set_capacity(1024)  # cap the entry count (default 512)
-    cache.disable()           # pass-through mode (e.g. for benchmarking)
+    cache.clear()             # drop every entry (and reset the stats)
 
 Cached ASTs are shared read-only: the parser normalizes loop bodies during
 parsing and semantic analysis annotates its own tables, so a
 ``TranslationUnit`` is safe to hand to any number of lowering calls.
 
-The environment variables ``REPRO_FRONTEND_CACHE=0`` (disable) and
-``REPRO_FRONTEND_CACHE_CAPACITY=<n>`` configure the process-wide instance.
-They are re-read on every :func:`frontend_cache` call, and a *changed*
-value is applied to the live instance — so exporting a new capacity (or
-toggling the cache off) between runs in one process takes effect without a
-restart.  Unchanged variables never override programmatic
-:meth:`FrontendCache.set_capacity` / :meth:`FrontendCache.disable` calls.
+The process-wide instance holds at most 512 entries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -87,11 +79,10 @@ class FrontendCache:
     collide even for the same source hash.
     """
 
-    def __init__(self, capacity: int = 512, enabled: bool = True):
+    def __init__(self, capacity: int = 512):
         if capacity < 1:
             raise ValueError("frontend cache capacity must be at least 1")
         self.capacity = int(capacity)
-        self.enabled = bool(enabled)
         self.stats = FrontendCacheStats()
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
@@ -100,8 +91,6 @@ class FrontendCache:
 
     def cached(self, key: tuple, compute: Callable[[], object]) -> object:
         """Return the memoized value for ``key``, computing it on a miss."""
-        if not self.enabled:
-            return compute()
         with self._lock:
             if key in self._entries:
                 self.stats.hits += 1
@@ -152,71 +141,16 @@ class FrontendCache:
             if reset_stats:
                 self.stats.reset()
 
-    def set_capacity(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("frontend cache capacity must be at least 1")
-        with self._lock:
-            self.capacity = int(capacity)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Pass-through mode: every call recomputes, nothing is stored."""
-        self.enabled = False
-
-
-def _environment_settings() -> Dict[str, object]:
-    """The current env-var view of the cache configuration."""
-    return {
-        "capacity": int(os.environ.get("REPRO_FRONTEND_CACHE_CAPACITY", "512")),
-        "enabled": os.environ.get("REPRO_FRONTEND_CACHE", "1").lower()
-        not in ("0", "off", "false"),
-    }
-
-
-def _from_environment() -> FrontendCache:
-    settings = _environment_settings()
-    return FrontendCache(
-        capacity=settings["capacity"], enabled=settings["enabled"]
-    )
-
 
 _GLOBAL_CACHE: Optional[FrontendCache] = None
 _GLOBAL_LOCK = threading.Lock()
-#: The env settings last applied to the global instance.  Only *changes*
-#: relative to this snapshot are re-applied, so an unchanged environment
-#: never clobbers programmatic set_capacity()/disable() calls.
-_GLOBAL_ENV: Optional[Dict[str, object]] = None
 
 
 def frontend_cache() -> FrontendCache:
-    """The process-wide frontend memo (created on first use).
-
-    ``REPRO_FRONTEND_CACHE`` / ``REPRO_FRONTEND_CACHE_CAPACITY`` are
-    re-read on every call; a variable whose value changed since it was
-    last applied reconfigures the live instance (per field), so env
-    reconfiguration works mid-process — including between ``disable()`` /
-    re-enable cycles — without discarding the cache or its stats.
-    """
-    global _GLOBAL_CACHE, _GLOBAL_ENV
-    with _GLOBAL_LOCK:
-        settings = _environment_settings()
-        if _GLOBAL_CACHE is None:
-            _GLOBAL_CACHE = FrontendCache(
-                capacity=settings["capacity"], enabled=settings["enabled"]
-            )
-        else:
-            assert _GLOBAL_ENV is not None
-            if settings["capacity"] != _GLOBAL_ENV["capacity"]:
-                _GLOBAL_CACHE.set_capacity(settings["capacity"])
-            if settings["enabled"] != _GLOBAL_ENV["enabled"]:
-                if settings["enabled"]:
-                    _GLOBAL_CACHE.enable()
-                else:
-                    _GLOBAL_CACHE.disable()
-        _GLOBAL_ENV = settings
+    """The process-wide frontend memo (created on first use)."""
+    global _GLOBAL_CACHE
+    if _GLOBAL_CACHE is None:
+        with _GLOBAL_LOCK:
+            if _GLOBAL_CACHE is None:
+                _GLOBAL_CACHE = FrontendCache()
     return _GLOBAL_CACHE

@@ -46,16 +46,8 @@ class CType:
         return self.kind == TypeKind.FLOAT
 
     @property
-    def is_arithmetic(self) -> bool:
-        return self.is_integer or self.is_float
-
-    @property
     def is_pointer(self) -> bool:
         return self.kind == TypeKind.POINTER
-
-    @property
-    def is_array(self) -> bool:
-        return self.kind == TypeKind.ARRAY
 
     @property
     def is_void(self) -> bool:

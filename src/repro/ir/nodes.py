@@ -293,12 +293,6 @@ class IRFunction:
     def innermost_loops(self) -> List[Loop]:
         return [loop for loop in self.all_loops() if loop.is_innermost]
 
-    def loop_by_id(self, loop_id: int) -> Optional[Loop]:
-        for loop in self.all_loops():
-            if loop.loop_id == loop_id:
-                return loop
-        return None
-
     def statements(self) -> List[Statement]:
         result: List[Statement] = []
 

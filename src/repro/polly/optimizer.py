@@ -33,10 +33,6 @@ class PollyReport:
     tiled_nests: int = 0
     fused_loops: int = 0
 
-    @property
-    def scop_count(self) -> int:
-        return sum(1 for scop in self.scops if scop.is_scop)
-
 
 class PollyOptimizer:
     """Applies Polly-style transformations and reports what it changed."""

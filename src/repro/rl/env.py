@@ -3,8 +3,7 @@
 Generic over an :class:`repro.tasks.OptimizationTask`: the task defines the
 decision sites of each kernel, the action menus, and how a chosen action is
 measured.  The default task reproduces the paper's per-loop (VF, IF)
-vectorization decision; ``VectorizationEnv`` keeps its name (and its legacy
-``evaluate_factors`` API) as the compatibility surface.
+vectorization decision; ``VectorizationEnv`` keeps its pre-redesign name.
 
 :class:`MultiTaskEnv` is the joint-training environment: it interleaves
 the decision sites of several tasks over one kernel set, tags every
@@ -221,12 +220,6 @@ class VectorizationEnv:
         )
         return self._reward_from_measurement(sample, action, measurement, was_cached)
 
-    def evaluate_factors(
-        self, sample: EnvSample, vf: int, interleave: int
-    ) -> Tuple[float, Dict[str, float]]:
-        """Legacy (VF, IF) shorthand for :meth:`evaluate_action`."""
-        return self.evaluate_action(sample, (int(vf), int(interleave)))
-
     def _reward_from_measurement(
         self,
         sample: EnvSample,
@@ -289,15 +282,6 @@ class VectorizationEnv:
             )
             for (sample, action), outcome in zip(normalized, outcomes)
         ]
-
-    def evaluate_factors_batch(
-        self, requests: Sequence[Tuple[EnvSample, int, int]]
-    ) -> List[Tuple[float, Dict[str, float]]]:
-        """Legacy ``(sample, vf, interleave)`` shorthand for
-        :meth:`evaluate_actions_batch`."""
-        return self.evaluate_actions_batch(
-            [(sample, (int(vf), int(interleave))) for sample, vf, interleave in requests]
-        )
 
     def evaluate_batch(
         self, pairs: Sequence[Tuple[EnvSample, object]]
@@ -675,11 +659,3 @@ class MultiTaskEnv:
             for tagged, output in zip(self.samples, outputs)
         ]
         return [reward for reward, _ in self.evaluate_actions_batch(requests)]
-
-    def greedy_rewards_by_task(self, policy) -> Dict[str, List[float]]:
-        """Per-task greedy rewards (the joint policy evaluated task by task)."""
-        rewards = self.greedy_rewards(policy)
-        by_task: Dict[str, List[float]] = {name: [] for name in self.lanes}
-        for tagged, reward in zip(self.samples, rewards):
-            by_task[tagged.task_name].append(reward)
-        return by_task

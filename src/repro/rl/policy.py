@@ -265,46 +265,6 @@ class _TaskHeads(Module):
         )
         return np.clip(sample, 0.0, 1.0), log_probs, values
 
-    def act_from_hidden(
-        self, hidden: Tensor, rng: np.random.Generator, deterministic: bool
-    ) -> PolicyOutput:
-        value = self.value_head(hidden)
-        if self.kind == "discrete":
-            indices: List[int] = []
-            log_prob = 0.0
-            for head in self.heads:
-                probs = _softmax(head(hidden).numpy()[0])
-                if deterministic:
-                    index = int(np.argmax(probs))
-                else:
-                    index = int(rng.choice(len(probs), p=probs))
-                indices.append(index)
-                log_prob += float(np.log(probs[index] + 1e-12))
-            return PolicyOutput(
-                action=np.array(indices),
-                log_prob=log_prob,
-                value=float(value.numpy()[0, 0]),
-            )
-        mean = ops.sigmoid(self.mean_head(hidden))  # keep the mean in [0, 1]
-        mean_values = mean.numpy()[0]
-        std = np.exp(self.log_std.numpy())
-        if deterministic:
-            sample = mean_values
-        else:
-            sample = mean_values + std * rng.standard_normal(self.action_dims)
-        log_prob = float(
-            np.sum(
-                -0.5 * ((sample - mean_values) / std) ** 2
-                - np.log(std)
-                - 0.5 * np.log(2 * np.pi)
-            )
-        )
-        return PolicyOutput(
-            action=np.clip(sample, 0.0, 1.0),
-            log_prob=log_prob,
-            value=float(value.numpy()[0, 0]),
-        )
-
     def evaluate_from_hidden(self, hidden: Tensor, actions: np.ndarray):
         values = self.value_head(hidden)
         if self.kind == "discrete":
@@ -569,16 +529,6 @@ class DiscretePolicy(MultiTaskPolicy):
     @property
     def value_head(self) -> Dense:
         return self.heads_for(None).value_head
-
-    @property
-    def vf_head(self) -> Dense:
-        """Legacy alias for the first categorical head."""
-        return self.heads[0]
-
-    @property
-    def if_head(self) -> Dense:
-        """Legacy alias for the second categorical head."""
-        return self.heads[1]
 
 
 class ContinuousPolicy(MultiTaskPolicy):
@@ -904,12 +854,6 @@ def _row_task_names(
             f"tasks has {len(names)} entries for a batch of {count} observations"
         )
     return names
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
 
 
 _KIND_SPACE_CLASSES = {

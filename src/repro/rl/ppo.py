@@ -128,9 +128,6 @@ class TrainingHistory:
             finals.update(stats.per_task_reward_mean)
         return finals
 
-    def loss_curve(self) -> List[float]:
-        return [it.total_loss for it in self.iterations]
-
     def steps(self) -> List[int]:
         return [it.steps_total for it in self.iterations]
 
@@ -497,17 +494,6 @@ class PPOTrainer:
         return [
             (names[code], indices[shuffled_codes == code]) for code in ordered
         ]
-
-    @staticmethod
-    def _task_groups(indices, task_names: Optional[Sequence[str]]):
-        """Partition shuffled indices by task id, preserving shuffle order."""
-        if task_names is None or len(set(task_names)) <= 1:
-            only = task_names[0] if task_names else None
-            return [(only, indices)]
-        groups: "OrderedDict[str, List[int]]" = OrderedDict()
-        for index in indices:
-            groups.setdefault(task_names[index], []).append(int(index))
-        return [(task, np.asarray(members)) for task, members in groups.items()]
 
     def _update_minibatch(
         self, observations, actions, old_log_probs, advantages, returns, task=None

@@ -51,24 +51,12 @@ class ActionSpace:
     """Base class: maps raw policy outputs to a tuple of concrete factors.
 
     ``menus`` is one tuple of legal values per decision dimension, in
-    decision order.  The default two menus are the paper's VF and IF lists;
-    the legacy ``vf_values=`` / ``if_values=`` keyword arguments keep
-    constructing exactly that two-dimensional space.
+    decision order.  The default two menus are the paper's VF and IF lists.
     """
 
-    def __init__(
-        self,
-        menus: Optional[Sequence[Sequence[int]]] = None,
-        vf_values: Optional[Sequence[int]] = None,
-        if_values: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, menus: Optional[Sequence[Sequence[int]]] = None):
         if menus is None:
-            menus = (
-                tuple(vf_values) if vf_values is not None else DEFAULT_VF_VALUES,
-                tuple(if_values) if if_values is not None else DEFAULT_IF_VALUES,
-            )
-        elif vf_values is not None or if_values is not None:
-            raise ValueError("pass either menus or vf_values/if_values, not both")
+            menus = (DEFAULT_VF_VALUES, DEFAULT_IF_VALUES)
         self.menus: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(int(value) for value in menu) for menu in menus
         )
@@ -86,34 +74,15 @@ class ActionSpace:
         return tuple(len(menu) for menu in self.menus)
 
     @property
-    def vf_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the first menu (the VF list of the paper)."""
-        return self.menus[0]
-
-    @property
-    def if_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the second menu (the IF list of the paper)."""
-        return self.menus[1]
-
-    @property
     def num_actions(self) -> int:
         total = 1
         for menu in self.menus:
             total *= len(menu)
         return total
 
-    @property
-    def num_factor_pairs(self) -> int:
-        """Legacy alias for :attr:`num_actions`."""
-        return self.num_actions
-
     def all_actions(self) -> List[Tuple[int, ...]]:
         """Every concrete action tuple, first menu varying slowest."""
         return list(product(*self.menus))
-
-    def all_factors(self) -> List[Tuple[int, ...]]:
-        """Legacy alias for :meth:`all_actions`."""
-        return self.all_actions()
 
     # -- codec --------------------------------------------------------------
 

@@ -102,20 +102,36 @@ class CompileRequest:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CompileRequest":
+        """Parse a wire payload; any missing or ill-typed field raises
+        :class:`ServingError`, which the server answers on the wire."""
+        if not isinstance(payload, dict):
+            raise ServingError("request payload must be a JSON object")
         kernel = payload.get("kernel") or {}
         if not isinstance(kernel, dict) or "source" not in kernel:
             raise ServingError("request payload lacks kernel.source")
+        bindings = kernel.get("bindings") or {}
+        if not isinstance(bindings, dict) or not all(
+            isinstance(value, int) and not isinstance(value, bool)
+            for value in bindings.values()
+        ):
+            raise ServingError("kernel.bindings must map names to integers")
         return cls(
-            source=kernel["source"],
-            function_name=kernel.get("function_name"),
-            task=payload.get("task") or "vectorization",
-            name=kernel.get("name") or "kernel",
-            bindings={
-                str(key): int(value)
-                for key, value in (kernel.get("bindings") or {}).items()
-            },
+            source=_typed(kernel["source"], "kernel.source"),
+            function_name=_typed(
+                kernel.get("function_name"), "kernel.function_name", optional=True
+            ),
+            task=_typed(payload.get("task") or "vectorization", "task"),
+            name=_typed(kernel.get("name") or "kernel", "kernel.name"),
+            bindings=dict(bindings),
             request_id=payload.get("id"),
         )
+
+
+def _typed(value, field_name: str, optional: bool = False):
+    """``value`` if it is a string (or ``None`` when ``optional``)."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise ServingError(f"{field_name} must be a string")
 
 
 @dataclass

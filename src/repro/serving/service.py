@@ -33,6 +33,7 @@ import numpy as np
 from repro.cache.reward_cache import (
     WHOLE_FUNCTION_APPLICATION,
     RewardCache,
+    flatten_decisions,
     resolve_cache,
 )
 from repro.core.loop_extractor import extract_loops
@@ -449,7 +450,7 @@ class CompileService:
                 self._pipeline.machine,
                 WHOLE_FUNCTION_APPLICATION,
                 default_symbol_value=self._pipeline.default_symbol_value,
-                action=self._flattened_decisions(job["decisions"]),
+                action=flatten_decisions(job["decisions"]),
                 task=job["task"].name,
             )
             if self._reward_cache.peek(key) is not None:
@@ -466,14 +467,6 @@ class CompileService:
                 continue
             for job, fanned in zip(group, flags):
                 job["fanned"] = bool(fanned)
-
-    @staticmethod
-    def _flattened_decisions(decisions) -> Tuple[int, ...]:
-        flattened: List[int] = []
-        for site_index in sorted(decisions):
-            flattened.append(int(site_index))
-            flattened.extend(int(value) for value in decisions[site_index])
-        return tuple(flattened)
 
     # -- response fan-out -----------------------------------------------------
 

@@ -266,7 +266,7 @@ class OptimizationTask:
 
 _REGISTRY: "OrderedDict[str, Callable[[], OptimizationTask]]" = OrderedDict()
 
-#: The task every compatibility shim resolves to.
+#: The task a caller that names none resolves to.
 DEFAULT_TASK_NAME = "vectorization"
 
 

@@ -15,7 +15,7 @@ from repro.ir.nodes import IRFunction, Loop
 from repro.machine.description import MachineDescription
 from repro.simulator.engine import Simulator
 from repro.vectorizer.cost_model import BaselineCostModel
-from repro.vectorizer.planner import FunctionVectorPlan, build_plan
+from repro.vectorizer.planner import build_plan
 
 
 @dataclass
@@ -30,9 +30,6 @@ class BruteForceResult:
     best_cycles: float = float("inf")
     baseline_cycles: float = float("nan")
     evaluations: int = 0
-
-    def best_plan(self, machine: Optional[MachineDescription] = None) -> FunctionVectorPlan:
-        return build_plan(self.function, self.best_factors, machine)
 
     def speedup_over_baseline(self) -> float:
         return self.baseline_cycles / self.best_cycles if self.best_cycles else float("inf")

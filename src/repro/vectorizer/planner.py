@@ -29,18 +29,6 @@ class LoopVectorPlan:
     vf: int = 1
     interleave: int = 1
 
-    @property
-    def is_vectorized(self) -> bool:
-        return self.vf > 1
-
-    @property
-    def is_interleaved(self) -> bool:
-        return self.interleave > 1
-
-    @property
-    def elements_per_iteration(self) -> int:
-        return self.vf * self.interleave
-
     def __str__(self) -> str:
         return (
             f"loop {self.loop.var}: requested (VF={self.requested_vf}, "

@@ -353,7 +353,7 @@ class TestSimulatorMemo:
         framework = NeuroVectorizer(
             embedding, BaselineAgent(pipeline), pipeline
         )
-        framework.vectorize_kernel(kernels[0])
+        framework.optimize_kernel(kernels[0])
         rendered = framework.cache_stats_report().render()
         assert "simulator memo hits" in rendered
         assert "frontend cache hits" in rendered
@@ -390,18 +390,14 @@ class TestFrontendCache:
     def test_disable_recomputes(self):
         cache = FrontendCache(capacity=8)
         warm = cache.parse(ADD_SOURCE)
-        cache.disable()
+        cache.clear()
         fresh = cache.parse(ADD_SOURCE)
         assert warm is not fresh
-        cache.enable()
-        assert cache.parse(ADD_SOURCE) is warm
+        assert cache.parse(ADD_SOURCE) is fresh
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             FrontendCache(capacity=0)
-        cache = FrontendCache(capacity=2)
-        with pytest.raises(ValueError):
-            cache.set_capacity(0)
 
     def test_pipelines_share_the_process_wide_store(self):
         cache = frontend_cache()
@@ -412,40 +408,6 @@ class TestFrontendCache:
         CompileAndMeasure().lower_kernel(kernel)
         assert cache.stats.misses == misses_after_first
         assert cache.stats.hits >= 1
-
-    def test_env_reconfigures_live_instance(self, monkeypatch):
-        # Regression: REPRO_FRONTEND_CACHE[_CAPACITY] used to be read only
-        # at first touch, so env changes after process start (including
-        # between disable()/re-enable cycles) were silently ignored.
-        import repro.frontend.cache as module
-
-        monkeypatch.setattr(module, "_GLOBAL_CACHE", None)
-        monkeypatch.setattr(module, "_GLOBAL_ENV", None)
-        monkeypatch.setenv("REPRO_FRONTEND_CACHE_CAPACITY", "4")
-        monkeypatch.delenv("REPRO_FRONTEND_CACHE", raising=False)
-        cache = module.frontend_cache()
-        assert cache.capacity == 4 and cache.enabled
-        # A programmatic disable survives later calls while the env is
-        # unchanged (env must not clobber explicit configuration).
-        cache.disable()
-        assert module.frontend_cache() is cache
-        assert not cache.enabled
-        # A capacity change applies mid-process — to the live instance,
-        # not a replacement — and leaves the disabled state alone.
-        monkeypatch.setenv("REPRO_FRONTEND_CACHE_CAPACITY", "9")
-        assert module.frontend_cache() is cache
-        assert cache.capacity == 9
-        assert not cache.enabled
-        cache.enable()
-        # Toggling the env off applies once...
-        monkeypatch.setenv("REPRO_FRONTEND_CACHE", "0")
-        module.frontend_cache()
-        assert not cache.enabled
-        # ...but does not keep re-disabling: a programmatic re-enable
-        # sticks for as long as the env value stays the same.
-        cache.enable()
-        module.frontend_cache()
-        assert cache.enabled
 
     def test_loop_extraction_shares_parse_results(self):
         from repro.core.loop_extractor import extract_loops

@@ -19,6 +19,9 @@ from repro.datasets.motivating import dot_product_kernel
 from repro.evaluation.report import format_cache_stats_table
 from repro.machine.description import MachineDescription
 from repro.rl.env import VectorizationEnv, build_samples
+from repro.tasks import resolve_task
+
+VECTORIZATION = resolve_task("vectorization")
 
 
 SAXPY = LoopKernel(
@@ -58,8 +61,8 @@ class TestFingerprints:
 class TestRewardCache:
     def test_measure_records_hit_and_miss(self, pipeline):
         cache = RewardCache()
-        first, was_hit_first = cache.measure(pipeline, SAXPY, 0, 8, 2)
-        second, was_hit_second = cache.measure(pipeline, SAXPY, 0, 8, 2)
+        first, was_hit_first = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        second, was_hit_second = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit_first and was_hit_second
         assert second.cycles == first.cycles
         assert cache.stats.hits == 1
@@ -68,8 +71,8 @@ class TestRewardCache:
 
     def test_different_actions_are_distinct_entries(self, pipeline):
         cache = RewardCache()
-        cache.measure(pipeline, SAXPY, 0, 1, 1)
-        _, was_hit = cache.measure(pipeline, SAXPY, 0, 8, 2)
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (1, 1))
+        _, was_hit = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit
         assert len(cache) == 2
 
@@ -77,8 +80,8 @@ class TestRewardCache:
         cache = RewardCache()
         avx2 = CompileAndMeasure(machine=MachineDescription())
         avx512 = CompileAndMeasure(machine=MachineDescription(vector_bits=512))
-        cache.measure(avx2, SAXPY, 0, 8, 2)
-        _, was_hit = cache.measure(avx512, SAXPY, 0, 8, 2)
+        cache.measure_action(avx2, VECTORIZATION, SAXPY, 0, (8, 2))
+        _, was_hit = cache.measure_action(avx512, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit
 
     def test_default_symbol_value_is_part_of_the_key(self):
@@ -95,15 +98,15 @@ class TestRewardCache:
         cache = RewardCache()
         small = CompileAndMeasure(default_symbol_value=16)
         large = CompileAndMeasure(default_symbol_value=4096)
-        first, _ = cache.measure(small, symbolic, 0, 4, 2)
-        second, was_hit = cache.measure(large, symbolic, 0, 4, 2)
+        first, _ = cache.measure_action(small, VECTORIZATION, symbolic, 0, (4, 2))
+        second, was_hit = cache.measure_action(large, VECTORIZATION, symbolic, 0, (4, 2))
         assert not was_hit
         assert second.cycles != first.cycles
 
     def test_max_entries_evicts_fifo(self):
         cache = RewardCache(max_entries=2)
         machine = MachineDescription()
-        keys = [cache.key_for(SAXPY, machine, 0, vf, 1) for vf in (1, 2, 4)]
+        keys = [cache.key_for(SAXPY, machine, 0, (vf, 1)) for vf in (1, 2, 4)]
         for key in keys:
             cache.put(key, CachedMeasurement(cycles=1.0, compile_seconds=0.1))
         assert len(cache) == 2
@@ -124,7 +127,7 @@ class TestRewardCache:
         keys = set()
         for n in (128, 256, 512, 1024, 2048):
             kernel = SAXPY.with_source(SAXPY.source.replace("2048", str(n)))
-            keys.add(cache.key_for(kernel, machine, 0, 4, 2).kernel_hash)
+            keys.add(cache.key_for(kernel, machine, 0, (4, 2)).kernel_hash)
             del kernel
         assert len(keys) == 5
 
@@ -132,14 +135,14 @@ class TestRewardCache:
         cache = RewardCache()
         machine = MachineDescription()
         kernel = SAXPY.with_source(SAXPY.source)
-        before = cache.key_for(kernel, machine, 0, 4, 2).kernel_hash
+        before = cache.key_for(kernel, machine, 0, (4, 2)).kernel_hash
         kernel.source = kernel.source.replace("2048", "64")
-        after = cache.key_for(kernel, machine, 0, 4, 2).kernel_hash
+        after = cache.key_for(kernel, machine, 0, (4, 2)).kernel_hash
         assert before != after
 
     def test_clear_empties_entries(self, pipeline):
         cache = RewardCache()
-        cache.measure(pipeline, SAXPY, 0, 8, 2)
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         cache.clear()
         assert len(cache) == 0
 
@@ -149,7 +152,7 @@ class TestEvaluationBatcher:
         cache = RewardCache()
         batcher = EvaluationBatcher(pipeline, cache)
         grid = [(1, 1), (4, 2), (8, 4)]
-        tickets = [batcher.add(SAXPY, 0, vf, il) for vf, il in grid]
+        tickets = [batcher.add_action(SAXPY, 0, (vf, il)) for vf, il in grid]
         outcomes = batcher.flush()
         assert tickets == [0, 1, 2]
         direct = [
@@ -162,7 +165,7 @@ class TestEvaluationBatcher:
         cache = RewardCache()
         batcher = EvaluationBatcher(pipeline, cache)
         for _ in range(5):
-            batcher.add(SAXPY, 0, 8, 2)
+            batcher.add_action(SAXPY, 0, (8, 2))
         outcomes = batcher.flush()
         assert cache.stats.misses == 1
         assert cache.stats.batch_deduplicated == 4
@@ -175,7 +178,7 @@ class TestEvaluationBatcher:
         batcher = EvaluationBatcher(pipeline, cache)
         grid = [(1, 1), (2, 1), (4, 1), (8, 1)]
         for vf, interleave in grid:
-            batcher.add(SAXPY, 0, vf, interleave)
+            batcher.add_action(SAXPY, 0, (vf, interleave))
         outcomes = batcher.flush()
         assert len(outcomes) == 4
         assert all(o.measurement.cycles > 0 for o in outcomes)
@@ -184,7 +187,7 @@ class TestEvaluationBatcher:
 
     def test_flush_drains_pending(self, pipeline):
         batcher = EvaluationBatcher(pipeline, RewardCache())
-        batcher.add(SAXPY, 0, 2, 1)
+        batcher.add_action(SAXPY, 0, (2, 1))
         batcher.flush()
         assert len(batcher) == 0
         assert batcher.flush() == []
@@ -201,7 +204,7 @@ class TestEnvBatchEvaluation:
 
     def test_evaluate_batch_matches_step(self, env):
         sample = env.samples[0]
-        direct_reward, _ = env.evaluate_factors(sample, 8, 2)
+        direct_reward, _ = env.evaluate_action(sample, (8, 2))
         action = env.action_space.encode(8, 2)
         results = env.evaluate_batch([(sample, action)] * 3)
         assert [r.reward for r in results] == [direct_reward] * 3
@@ -214,12 +217,12 @@ class TestEnvBatchEvaluation:
         assert env.total_steps == before + 4
 
     def test_factors_batch_mixes_samples(self, env):
-        requests = [(sample, 2, 2) for sample in env.samples]
-        results = env.evaluate_factors_batch(requests)
+        requests = [(sample, (2, 2)) for sample in env.samples]
+        results = env.evaluate_actions_batch(requests)
         assert len(results) == len(env.samples)
-        for (sample, vf, interleave), (reward, info) in zip(requests, results):
+        for (sample, (vf, interleave)), (reward, info) in zip(requests, results):
             assert info["vf"] == float(vf)
-            expected, _ = env.evaluate_factors(sample, vf, interleave)
+            expected, _ = env.evaluate_action(sample, (vf, interleave))
             assert reward == expected
 
     def test_shared_cache_across_envs(self):
@@ -239,8 +242,8 @@ class TestEnvBatchEvaluation:
             compile_time_limit=0.0001,
             compile_time_penalty=-9.0,
         )
-        lenient.evaluate_factors(samples[0], 64, 16)
-        reward, info = strict.evaluate_factors(samples[0], 64, 16)
+        lenient.evaluate_action(samples[0], (64, 16))
+        reward, info = strict.evaluate_action(samples[0], (64, 16))
         # The measurement is shared, but each env derives its own reward.
         assert info.get("cached") == 1.0
         assert reward == -9.0
@@ -249,8 +252,8 @@ class TestEnvBatchEvaluation:
 class TestStatsReport:
     def test_table_renders_all_counters(self, pipeline):
         cache = RewardCache()
-        cache.measure(pipeline, SAXPY, 0, 8, 2)
-        cache.measure(pipeline, SAXPY, 0, 8, 2)
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         text = format_cache_stats_table(cache.stats, title="unit").render()
         assert "unit" in text
         assert "hit rate" in text

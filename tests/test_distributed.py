@@ -26,6 +26,9 @@ from repro.distributed.async_api import AsyncEvaluator
 from repro.distributed.store import SCHEMA_NAME
 from repro.evaluation.report import Table
 from repro.simulator.engine import Simulator
+from repro.tasks import resolve_task
+
+VECTORIZATION = resolve_task("vectorization")
 
 
 ADD_SOURCE = """
@@ -62,13 +65,12 @@ def sample_key(index: int = 0) -> RewardKey:
         kernel_hash=f"kernel{index:02d}" + "0" * 32,
         machine_hash="machine" + "0" * 33,
         loop_index=0,
-        vf=4,
-        interleave=2,
+        action=(4, 2),
     )
 
 
 def grid_requests(kernel, vfs=(1, 2, 4, 8), ifs=(1, 2)):
-    return [(kernel, 0, vf, interleave) for vf in vfs for interleave in ifs]
+    return [(kernel, 0, (vf, interleave)) for vf in vfs for interleave in ifs]
 
 
 def outcome_tuples(outcomes):
@@ -235,12 +237,12 @@ class TestDiskBackedRewardCache:
     def test_measure_through_cache_persists(self, tmp_path):
         pipeline = CompileAndMeasure()
         cache = DiskBackedRewardCache.open(str(tmp_path))
-        measurement, was_hit = cache.measure(pipeline, add_kernel(), 0, 4, 2)
+        measurement, was_hit = cache.measure_action(pipeline, VECTORIZATION, add_kernel(), 0, (4, 2))
         assert not was_hit
         cache.close()
 
         warm = DiskBackedRewardCache.open(str(tmp_path))
-        cached, was_hit = warm.measure(CompileAndMeasure(), add_kernel(), 0, 4, 2)
+        cached, was_hit = warm.measure_action(CompileAndMeasure(), VECTORIZATION, add_kernel(), 0, (4, 2))
         assert was_hit
         assert cached == measurement
 
@@ -255,8 +257,8 @@ class TestEvaluationService:
         requests = grid_requests(add_kernel())
         batcher_cache = RewardCache()
         batcher = EvaluationBatcher(CompileAndMeasure(), batcher_cache)
-        for kernel, loop_index, vf, interleave in requests:
-            batcher.add(kernel, loop_index, vf, interleave)
+        for kernel, loop_index, action in requests:
+            batcher.add_action(kernel, loop_index, action)
         expected = outcome_tuples(batcher.flush())
 
         service = EvaluationService(CompileAndMeasure(), workers=0)
@@ -357,7 +359,7 @@ class TestEvaluationService:
             name="broken", source="int f() { return 0; }", function_name="missing"
         )
         with EvaluationService(CompileAndMeasure(), workers=1) as service:
-            future = service.submit([(broken, 0, 4, 1)])
+            future = service.submit([(broken, 0, (4, 1))])
             with pytest.raises(RuntimeError, match="failed in workers"):
                 future.result()
             assert service.stats.errors == 1
@@ -402,7 +404,7 @@ class TestEvaluationService:
             agent = RandomSearchAgent(seed=2, candidates=3, evaluation_service=service)
             decision = agent.select_factors(np.zeros(2), kernel=add_kernel(), loop_index=0)
             assert service.stats.serial_requests == 3
-            assert decision.vf >= 1
+            assert decision.action[0] >= 1
 
     def test_submit_after_close_raises_clearly(self):
         service = EvaluationService(CompileAndMeasure(), workers=1)
@@ -496,7 +498,7 @@ class TestFrameworkWarmStart:
                     return original(self, *args, **kwargs)
 
                 monkeypatch.setattr(Simulator, "simulate", counting)
-            results = framework.vectorize_suite(kernels)
+            results = framework.optimize_suite(kernels)
             framework.close()
             if count_calls:
                 monkeypatch.undo()
@@ -510,9 +512,9 @@ class TestFrameworkWarmStart:
         assert [r.baseline_cycles for r in warm_results] == [
             r.baseline_cycles for r in cold_results
         ]
-        assert [
-            [(d.vf, d.interleave) for d in r.decisions] for r in warm_results
-        ] == [[(d.vf, d.interleave) for d in r.decisions] for r in cold_results]
+        assert [r.decisions for r in warm_results] == [
+            r.decisions for r in cold_results
+        ]
 
 
 class TestFrameworkStatsReports:
@@ -534,7 +536,7 @@ class TestFrameworkStatsReports:
 
     def test_cache_stats_report_after_evaluation(self):
         framework = self._framework()
-        framework.vectorize_kernel(add_kernel())
+        framework.optimize_kernel(add_kernel())
         rendered = framework.cache_stats_report().render()
         assert "no evaluations" not in rendered
         assert "hit rate" in rendered

@@ -209,7 +209,7 @@ class TestFleetSharding:
             name="broken", source="int f() { return 0; }", function_name="missing"
         )
         with start_workers(1) as workers, fleet_service(workers) as service:
-            future = service.submit([(broken, 0, 4, 1)])
+            future = service.submit([(broken, 0, (4, 1))])
             with pytest.raises(RuntimeError):
                 future.result()
             assert service.stats.errors == 1
@@ -226,6 +226,16 @@ class TestFleetSharding:
         assert all(outcome.was_cached for outcome in outcomes)
         assert outcome_tuples(outcomes) == expected
         warm.close()
+
+    def test_stop_closes_the_worker_store(self, tmp_path):
+        with start_workers(1, store_dir=str(tmp_path)) as workers:
+            with fleet_service(workers) as service:
+                service.evaluate(grid_requests(add_kernel()))
+            store = workers[0].cache.store
+            assert store._handle is not None  # the segment is open
+            workers[0].stop()
+            assert store._handle is None
+            workers[0].stop()  # a second stop is harmless
 
 
 # ---------------------------------------------------------------------------

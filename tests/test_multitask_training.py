@@ -399,16 +399,16 @@ class TestJointTraining:
             assert comparison.speedups["work"]["rl"] > 0
 
     def test_legacy_vectorize_kernel_works_on_joint_framework(self, trained):
-        # Regression: the retained legacy surface must pin the agent to
-        # the primary task too — a joint framework's raw PolicyAgent has
-        # no task and a multi-bank policy refuses to act without one.
+        # Regression: optimizing without a task must pin the agent to the
+        # primary task — a joint framework's raw PolicyAgent has no task
+        # and a multi-bank policy refuses to act without one.
         framework, _, kernels = trained
-        result = framework.vectorize_kernel(kernels[1])
+        result = framework.optimize_kernel(kernels[1])
         assert result.decisions
         vec_task = resolve_task("vectorization")
-        for decision in result.decisions:
-            assert decision.vf in vec_task.menus[0]
-            assert decision.interleave in vec_task.menus[1]
+        for vf, interleave in result.decisions.values():
+            assert vf in vec_task.menus[0]
+            assert interleave in vec_task.menus[1]
 
     def test_workers_2_byte_identical_to_serial(self):
         # The acceptance bar: the joint run's evaluation sharded over two

@@ -88,8 +88,8 @@ class TestSpacesProperties:
     def test_continuous_joint_always_decodes_to_menu(self, value):
         space = ContinuousJointSpace()
         vf, interleave = space.decode([value])
-        assert vf in space.vf_values
-        assert interleave in space.if_values
+        assert vf in space.menus[0]
+        assert interleave in space.menus[1]
 
 
 class TestPlannerProperties:
@@ -291,15 +291,15 @@ class TestRewardStoreRoundTripProperties:
     def test_legacy_vf_interleave_keys_round_trip(
         self, vf, interleave, loop_index, measurement
     ):
-        # The legacy two-int constructor tags keys with the vectorization
-        # task; a store round trip must come back equal to — and keep the
-        # vf/interleave aliases of — the original.
+        # A (VF, IF) key is the vectorization task's action key by default;
+        # a store round trip must come back equal to the original, with
+        # the same task tag and action.
         import tempfile
 
         from repro.cache.reward_cache import CachedMeasurement, RewardKey
         from repro.distributed import PersistentRewardStore
 
-        key = RewardKey("k" * 8, "m" * 8, loop_index, vf, interleave)
+        key = RewardKey("k" * 8, "m" * 8, loop_index, (vf, interleave))
         cycles, compile_seconds = measurement
         stored = CachedMeasurement(cycles=cycles, compile_seconds=compile_seconds)
         with tempfile.TemporaryDirectory() as directory:
@@ -309,5 +309,4 @@ class TestRewardStoreRoundTripProperties:
         assert loaded == {key: stored}
         (round_tripped,) = loaded
         assert round_tripped.task == "vectorization"
-        assert round_tripped.vf == vf
-        assert round_tripped.interleave == interleave
+        assert round_tripped.action == (vf, interleave)

@@ -65,12 +65,13 @@ class TestActionSpaces:
 
     def test_discrete_encode_round_trip(self):
         space = DiscreteFactorSpace()
-        for vf in space.vf_values:
-            for interleave in space.if_values:
+        vf_menu, if_menu = space.menus
+        for vf in vf_menu:
+            for interleave in if_menu:
                 assert space.decode(space.encode(vf, interleave)) == (vf, interleave)
 
     def test_num_factor_pairs_is_35(self):
-        assert default_action_space().num_factor_pairs == 35
+        assert default_action_space().num_actions == 35
 
     def test_continuous_joint_covers_extremes(self):
         space = ContinuousJointSpace()
@@ -147,19 +148,19 @@ class TestEnvironment:
         pipeline = tiny_env.pipeline
         baseline = pipeline.measure_baseline(sample.kernel)
         factors = baseline.factors[sample.loop_index]
-        reward, _ = tiny_env.evaluate_factors(sample, *factors)
+        reward, _ = tiny_env.evaluate_action(sample, factors)
         assert reward == pytest.approx(0.0, abs=1e-9)
 
     def test_scalar_action_usually_negative(self, tiny_env):
         rewards = [
-            tiny_env.evaluate_factors(sample, 1, 1)[0] for sample in tiny_env.samples
+            tiny_env.evaluate_action(sample, (1, 1))[0] for sample in tiny_env.samples
         ]
         assert min(rewards) < 0
 
     def test_reward_cache_hits(self, tiny_env):
         sample = tiny_env.samples[0]
-        tiny_env.evaluate_factors(sample, 8, 2)
-        _, info = tiny_env.evaluate_factors(sample, 8, 2)
+        tiny_env.evaluate_action(sample, (8, 2))
+        _, info = tiny_env.evaluate_action(sample, (8, 2))
         assert info.get("cached") == 1.0
 
     def test_all_samples_visited_before_repeat(self):
@@ -193,7 +194,7 @@ class TestEnvironment:
         env = VectorizationEnv(
             samples, pipeline=pipeline, compile_time_limit=2.0, compile_time_penalty=-9.0
         )
-        reward, info = env.evaluate_factors(samples[0], 64, 16)
+        reward, info = env.evaluate_action(samples[0], (64, 16))
         assert reward == -9.0
         assert info.get("compile_time_exceeded") == 1.0
 

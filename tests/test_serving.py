@@ -362,6 +362,41 @@ class TestClientsAndStats:
             with TCPClient.connect(server.address) as client:
                 assert client.optimize(CompileRequest(source=STREAM_SOURCE)).ok
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("kernel", "bindings"), {"N": "many"}),
+            (("kernel", "bindings"), {"N": [1, 2]}),
+            (("kernel", "bindings"), [1, 2]),
+            (("kernel", "source"), 42),
+            (("kernel", "function_name"), {"f": 1}),
+            (("kernel", "name"), ["k"]),
+            (("task",), ["vectorization"]),
+        ],
+    )
+    def test_ill_typed_request_gets_error_reply_and_connection_survives(
+        self, trained, path, value
+    ):
+        from repro.serving.schema import decode_message, encode_message
+
+        bad = CompileRequest(source=STREAM_SOURCE, request_id="bad").to_payload()
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        good = CompileRequest(source=STREAM_SOURCE, request_id="good").to_payload()
+        service = fresh_service(trained, max_batch_size=4)
+        with CompileServer(service) as server:
+            with socket.create_connection(server.address, timeout=20) as raw:
+                replies = raw.makefile("rb")
+                raw.sendall(encode_message(bad))
+                error = decode_message(replies.readline())
+                assert error["error"] and path[-1] in error["error"]
+                raw.sendall(encode_message(good))
+                answer = decode_message(replies.readline())
+        assert answer["id"] == "good"
+        assert not answer.get("error")
+
     def test_stats_report_renders_tier_table(self, trained):
         service = fresh_service(trained, slo_ms=10_000.0)
         with service:

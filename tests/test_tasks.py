@@ -15,6 +15,7 @@ from repro.cache.reward_cache import (
     EvaluationBatcher,
     RewardCache,
     RewardKey,
+    normalize_requests,
 )
 from repro.core.framework import (
     NeuroVectorizer,
@@ -160,7 +161,7 @@ class TestBackwardCompat:
     def test_default_action_space_matches_vectorization_task(self):
         space = default_action_space()
         assert isinstance(space, DiscreteFactorSpace)
-        assert space.num_factor_pairs == 35
+        assert space.num_actions == 35
         task_space = VectorizationTask().action_space("discrete")
         assert task_space.menus == space.menus
 
@@ -182,17 +183,22 @@ class TestBackwardCompat:
         assert result.info["interleave"] == 2.0
 
     def test_reward_key_legacy_constructor(self):
+        # The two-int (vf, interleave) form is retired: a (VF, IF) key is
+        # the vectorization task's action key, which is the default tag.
+        with pytest.raises(TypeError):
+            RewardKey(
+                kernel_hash="k" * 40, machine_hash="m" * 40, loop_index=0,
+                vf=4, interleave=2,
+            )
         key = RewardKey(
             kernel_hash="k" * 40, machine_hash="m" * 40, loop_index=0,
-            vf=4, interleave=2,
+            action=(4, 2),
         )
         assert key.action == (4, 2)
         assert key.task == "vectorization"
-        assert key.vf == 4
-        assert key.interleave == 2
         same = RewardKey(
             kernel_hash="k" * 40, machine_hash="m" * 40, loop_index=0,
-            action=(4, 2),
+            action=[4, 2], task="vectorization",
         )
         assert key == same and hash(key) == hash(same)
 
@@ -202,25 +208,25 @@ class TestBackwardCompat:
         with pytest.raises(TypeError):
             RewardKey("k", "m", 0, vf=4, interleave=2, action=(4, 2))
 
-    def test_batcher_legacy_add_matches_add_action(self):
+    def test_batcher_dedups_list_and_tuple_actions(self):
         pipeline = CompileAndMeasure()
         cache = RewardCache()
         batcher = EvaluationBatcher(pipeline, cache)
-        batcher.add(stream_kernel(), 0, 4, 2)
+        batcher.add_action(stream_kernel(), 0, [4, 2])
         batcher.add_action(stream_kernel(), 0, (4, 2))
         first, second = batcher.flush()
         assert first.measurement == second.measurement
-        assert second.was_cached  # deduplicated against the legacy request
+        assert second.was_cached  # deduplicated against the first spelling
+
+    def test_legacy_four_tuple_requests_rejected(self):
+        with pytest.raises(ValueError, match="4-tuple"):
+            normalize_requests([(stream_kernel(), 0, 4, 2)])
 
     def test_different_task_same_action_never_collides(self):
         cache = RewardCache()
         machine = CompileAndMeasure().machine
-        vector_key = cache.key_for(
-            stream_kernel(), machine, 0, action=(1, 1), task="vectorization"
-        )
-        polly_key = cache.key_for(
-            stream_kernel(), machine, 0, action=(1, 1), task="polly-tiling"
-        )
+        vector_key = cache.key_for(stream_kernel(), machine, 0, action=(1, 1), task="vectorization")
+        polly_key = cache.key_for(stream_kernel(), machine, 0, action=(1, 1), task="polly-tiling")
         assert vector_key != polly_key
         cache.put(vector_key, CachedMeasurement(1.0, 0.1))
         assert cache.peek(polly_key) is None
@@ -440,7 +446,7 @@ class TestPollyEndToEnd:
     def test_vectorize_kernel_rejected_for_other_tasks(self, trained):
         framework, _, kernels = trained
         with pytest.raises(ValueError, match="polly-tiling"):
-            framework.vectorize_kernel(kernels[0])
+            framework.optimize_kernel(kernels[0], task="vectorization")
 
     def test_mismatched_agent_task_rejected_at_construction(self):
         # A vectorization brute-force agent under a polly framework would
@@ -486,7 +492,7 @@ class TestPollyEndToEnd:
 class TestShardedIdentity:
     def test_vectorization_workers_match_serial(self):
         requests = [
-            (kernel, 0, vf, interleave)
+            (kernel, 0, (vf, interleave))
             for kernel in (two_nest_kernel(), stream_kernel())
             for vf in (1, 4, 16)
             for interleave in (1, 2)
@@ -592,9 +598,7 @@ class TestStoreSchemaVersioning:
         assert cache.preloaded == 0
         # The stale key shape can never be looked up: every v2 key carries a
         # task tag and action tuple, so no query maps onto the old record.
-        key = cache.key_for(
-            stream_kernel(), CompileAndMeasure().machine, 0, 4, 2
-        )
+        key = cache.key_for(stream_kernel(), CompileAndMeasure().machine, 0, (4, 2))
         assert cache.peek(key) is None
         cache.close()
 
